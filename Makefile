@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci check build test race race-all chaos vet lint cover bench microbench experiments examples clean
+.PHONY: all ci check build test race race-all chaos bench-smoke vet lint cover bench microbench experiments examples clean
 
 all: check
 
@@ -10,9 +10,10 @@ all: check
 check: build lint test race
 
 # CI entry point: everything a merge must pass in one target — the default
-# verification path (build, lint, tests, scoped -race) plus the short
-# fault-injection chaos suite.
-ci: check chaos
+# verification path (build, lint, tests, scoped -race), the short
+# fault-injection chaos suite, and the end-to-end benchmark's correctness
+# checks.
+ci: check chaos bench-smoke
 
 build:
 	$(GO) build ./...
@@ -22,8 +23,7 @@ test:
 
 # Race-check the packages with real concurrency — the HTTP service layer,
 # the WAL-backed ingest path, the catalog/executor underneath it, the
-# parallel join kernels, the shared
-# metric/span registry — plus the read-mostly data structures they share
+# parallel packed join kernel, the shared metric/span registry — plus the read-mostly data structures they share
 # across goroutines (geometry, curves, datasets, samples).
 race:
 	$(GO) test -race ./internal/server/... ./internal/ingest/... ./internal/resilience/... ./internal/faultfs/... ./internal/telemetry/... ./internal/sdb/... ./internal/obs/... ./internal/rtree/... ./internal/partjoin/... ./internal/histogram/... ./internal/geom/... ./internal/hilbert/... ./internal/dataset/... ./internal/sample/...
@@ -37,6 +37,15 @@ race-all:
 # and degraded-mode contracts.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Degraded|Admission|WAL' ./internal/ingest/... ./internal/faultfs/... ./internal/resilience/... ./internal/server/...
+
+# Short runs of the end-to-end benchmark (perfbench/run.sh) on its two gated
+# workloads, for their differential checks rather than their timings: every
+# query answer against a plane-sweep reference, and on ingest-live a
+# kill-and-recover of sdbd on its WAL against the model of acknowledged
+# batches. Any mismatch fails the run. Builds into .bench_build/perfbench.
+bench-smoke:
+	bash perfbench/run.sh --workload serve-small --seed 1 --seconds 3 --trace 0
+	bash perfbench/run.sh --workload ingest-live --seed 1 --seconds 3 --trace 0
 
 vet:
 	$(GO) vet ./...

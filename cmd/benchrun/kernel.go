@@ -13,7 +13,7 @@ import (
 // the speedups isolate the filter phase. The run fails if any kernel
 // disagrees on the pair count.
 type JoinKernelReport struct {
-	// Workers is the pool size the parallel phases actually ran with: the
+	// Workers is the pool size the parallel phase actually ran with: the
 	// -workers knob after the ≤0 → GOMAXPROCS mapping the kernels apply
 	// themselves. Earlier snapshots recorded the raw knob here while the
 	// kernels resolved it independently, which is how a "1-worker 1.59×
@@ -21,29 +21,25 @@ type JoinKernelReport struct {
 	Workers      int         `json:"workers"`
 	SerialMicros Percentiles `json:"serial_micros"`
 
-	// ParallelMicros and Speedup are present only when Workers > 1. With one
-	// worker the parallel entry point falls back to the identical serial
-	// kernel, so a "speedup" would only measure run-to-run noise and cache
-	// warm-up bias (the old sequential, warmup-free loop reported up to 1.59×
-	// for it); ParallelNote documents the omission in the snapshot itself.
-	ParallelMicros *Percentiles `json:"parallel_micros,omitempty"`
-	Speedup        float64      `json:"speedup,omitempty"`
-	ParallelNote   string       `json:"parallel_note,omitempty"`
-
 	// PackedMicros times the packed SoA kernel serially; PackedSpeedup is
 	// serial p50 over packed p50 — the layout win, independent of the pool.
 	PackedMicros  Percentiles `json:"packed_micros"`
 	PackedSpeedup float64     `json:"packed_speedup"`
-	// PackedParallelMicros is present only when Workers > 1.
+
+	// PackedParallelMicros is present only when Workers > 1. With one worker
+	// the parallel entry point falls back to the identical serial kernel, so
+	// its timings would only measure run-to-run noise and cache warm-up bias;
+	// ParallelNote documents the omission in the snapshot itself.
 	PackedParallelMicros *Percentiles `json:"packed_parallel_micros,omitempty"`
+	ParallelNote         string       `json:"parallel_note,omitempty"`
 
 	Pairs       int  `json:"pairs"`
 	CountsMatch bool `json:"counts_match"`
 }
 
-// measureJoinKernel times the pointer and packed join kernels on the same
-// index pair and verifies they agree on the exact pair count — the
-// correctness gate that makes the speedup numbers trustworthy.
+// measureJoinKernel times the serial pointer join and the packed join kernels
+// on the same index pair and verifies they agree on the exact pair count —
+// the correctness gate that makes the speedup numbers trustworthy.
 //
 // Two measurement rules fix the old runJoinKernel's bias: every kernel gets
 // one untimed warm-up run before the clock starts (the old code timed the
@@ -53,12 +49,6 @@ type JoinKernelReport struct {
 func measureJoinKernel(a, b *sdb.Table, workers, iters int) (JoinKernelReport, error) {
 	resolved := rtree.ResolveJoinWorkers(workers)
 	pa, pb := a.Packed, b.Packed
-	if pa == nil {
-		pa = rtree.Pack(a.Index)
-	}
-	if pb == nil {
-		pb = rtree.Pack(b.Index)
-	}
 
 	type kernel struct {
 		name  string
@@ -72,9 +62,7 @@ func measureJoinKernel(a, b *sdb.Table, workers, iters int) (JoinKernelReport, e
 	}
 	if resolved > 1 {
 		kernels = append(kernels,
-			&kernel{name: "parallel", run: func() int { return rtree.JoinCountParallel(a.Index, b.Index, resolved) }},
-			&kernel{name: "packed_parallel", run: func() int { return rtree.PackedJoinCountParallel(pa, pb, resolved) }},
-		)
+			&kernel{name: "packed_parallel", run: func() int { return rtree.PackedJoinCountParallel(pa, pb, resolved) }})
 	}
 
 	for _, k := range kernels {
@@ -108,12 +96,7 @@ func measureJoinKernel(a, b *sdb.Table, workers, iters int) (JoinKernelReport, e
 		rep.PackedSpeedup = float64(rep.SerialMicros.P50) / float64(p)
 	}
 	if resolved > 1 {
-		par := percentiles(kernels[2].times)
-		rep.ParallelMicros = &par
-		if p := par.P50; p > 0 {
-			rep.Speedup = float64(rep.SerialMicros.P50) / float64(p)
-		}
-		ppar := percentiles(kernels[3].times)
+		ppar := percentiles(kernels[2].times)
 		rep.PackedParallelMicros = &ppar
 	} else {
 		rep.ParallelNote = "single-worker pool falls back to the serial kernel; parallel timings omitted"

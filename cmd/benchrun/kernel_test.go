@@ -28,10 +28,10 @@ func kernelTables(t *testing.T) (*sdb.Table, *sdb.Table) {
 // TestMeasureJoinKernelSingleWorker is the regression test for the committed
 // "workers: 1, speedup: 1.59" snapshot: with a one-worker pool the parallel
 // entry point falls back to the identical serial kernel, so the report must
-// record the resolved worker count, omit the parallel timings and speedup
-// entirely, and say why. The old runJoinKernel failed all three: it echoed
-// the knob, timed the fallback as if it were a parallel run, and published
-// the warm-up bias between the two loops as a speedup.
+// record the resolved worker count, omit the parallel timings entirely, and
+// say why. The old runJoinKernel failed all three: it echoed the knob, timed
+// the fallback as if it were a parallel run, and published the warm-up bias
+// between the two loops as a speedup.
 func TestMeasureJoinKernelSingleWorker(t *testing.T) {
 	tl, tr := kernelTables(t)
 	k, err := measureJoinKernel(tl, tr, 1, 3)
@@ -41,14 +41,8 @@ func TestMeasureJoinKernelSingleWorker(t *testing.T) {
 	if k.Workers != 1 {
 		t.Errorf("Workers = %d, want resolved count 1", k.Workers)
 	}
-	if k.ParallelMicros != nil {
-		t.Errorf("ParallelMicros present at one worker: %+v", *k.ParallelMicros)
-	}
 	if k.PackedParallelMicros != nil {
 		t.Errorf("PackedParallelMicros present at one worker: %+v", *k.PackedParallelMicros)
-	}
-	if k.Speedup > 0 {
-		t.Errorf("Speedup = %g published for a serial fallback", k.Speedup)
 	}
 	if k.ParallelNote == "" {
 		t.Error("ParallelNote missing: the omission must be documented in the snapshot")
@@ -61,8 +55,8 @@ func TestMeasureJoinKernelSingleWorker(t *testing.T) {
 	}
 }
 
-// TestMeasureJoinKernelMultiWorker: with a real pool the parallel timings and
-// speedup appear and the note does not.
+// TestMeasureJoinKernelMultiWorker: with a real pool the packed parallel
+// timings appear and the note does not.
 func TestMeasureJoinKernelMultiWorker(t *testing.T) {
 	tl, tr := kernelTables(t)
 	k, err := measureJoinKernel(tl, tr, 2, 2)
@@ -72,11 +66,14 @@ func TestMeasureJoinKernelMultiWorker(t *testing.T) {
 	if k.Workers != 2 {
 		t.Errorf("Workers = %d, want 2", k.Workers)
 	}
-	if k.ParallelMicros == nil || k.PackedParallelMicros == nil {
-		t.Fatal("parallel timings missing at two workers")
+	if k.PackedParallelMicros == nil {
+		t.Fatal("packed parallel timings missing at two workers")
 	}
-	if !(k.Speedup > 0) {
-		t.Errorf("Speedup = %g, want > 0", k.Speedup)
+	if pp := *k.PackedParallelMicros; pp.Max <= 0 || pp.P50 > pp.P99 || pp.P99 > pp.Max {
+		t.Errorf("packed parallel percentiles malformed: %+v", pp)
+	}
+	if !k.CountsMatch || k.Pairs <= 0 {
+		t.Errorf("count gate: pairs=%d match=%v", k.Pairs, k.CountsMatch)
 	}
 	if k.ParallelNote != "" {
 		t.Errorf("ParallelNote = %q, want empty when parallel timings are published", k.ParallelNote)

@@ -16,8 +16,8 @@ import (
 
 // TestJoinEnginesAgree cross-validates the three exact join implementations
 // on every paper workload: the plane sweep, the R-tree synchronized
-// traversal (serial and parallel), and the partition-based join must report
-// identical counts.
+// traversal (serial pointer tree and parallel packed image), and the
+// partition-based join must report identical counts.
 func TestJoinEnginesAgree(t *testing.T) {
 	for _, p := range datagen.PaperPairs(0.005) {
 		want := sweep.Count(p.A.Items, p.B.Items)
@@ -32,8 +32,8 @@ func TestJoinEnginesAgree(t *testing.T) {
 		if got := rtree.JoinCount(ta, tb); got != want {
 			t.Errorf("%s: rtree join %d != sweep %d", p.Name, got, want)
 		}
-		if got := rtree.JoinCountParallel(ta, tb, 4); got != want {
-			t.Errorf("%s: parallel rtree join %d != sweep %d", p.Name, got, want)
+		if got := rtree.PackedJoinCountParallel(rtree.Pack(ta), rtree.Pack(tb), 4); got != want {
+			t.Errorf("%s: parallel packed join %d != sweep %d", p.Name, got, want)
 		}
 		if got := partjoin.Count(p.A.Items, p.B.Items, partjoin.Config{}); got != want {
 			t.Errorf("%s: partition join %d != sweep %d", p.Name, got, want)

@@ -188,7 +188,7 @@ func (s *Span) Report() *SpanReport {
 //
 //	query (1.24ms)
 //	  join roads ⋈ lakes (1.10ms) est_rows=812 rows=790 rel_error=0.028
-//	    rtree.join (1.02ms) node_visits=180 output_pairs=790
+//	    rtree.packed_join (1.02ms) node_visits=180 output_pairs=790
 //
 // Attributes print sorted by key so output is deterministic.
 func (r *SpanReport) Text() string {

@@ -330,16 +330,23 @@ func PackedJoinCount(a, b *Packed) int {
 	return n
 }
 
-// packedJoinTask is one independent unit of parallel packed-join work.
+// packedJoinTask is one independent unit of parallel packed-join work: a
+// node pair whose subtree join is disjoint from every other task's.
 type packedJoinTask struct {
 	na, nb int32
 	clip   geom.Rect
 }
 
+// taskTargetPerWorker is how many tasks the serial expansion aims to produce
+// per worker. More tasks than workers smooths load imbalance between dense
+// and sparse regions at negligible expansion cost.
+const taskTargetPerWorker = 8
+
 // expandPackedJoinTasks expands the traversal's top levels serially into
 // independent node-pair tasks, breadth-first, splitting every expandable task
 // one level on its larger side per round until there are at least target
-// tasks — the index-addressed twin of expandJoinTasks. visA and visB count
+// tasks (or only leaf-leaf pairs remain). Task order is deterministic: it
+// depends only on the image shapes, never on scheduling. visA and visB count
 // the per-side expansion visits for the join's accounting.
 func expandPackedJoinTasks(pa, pb *Packed, clip geom.Rect, target int) (tasks []packedJoinTask, visA, visB int) {
 	tasks = []packedJoinTask{{na: 0, nb: 0, clip: clip}}
@@ -379,14 +386,22 @@ func expandPackedJoinTasks(pa, pb *Packed, clip geom.Rect, target int) (tasks []
 }
 
 // PackedJoinFuncParallelContext computes the same pair set as
-// PackedJoinFuncContext using a pool of workers, with the task-stealing
-// scheduler the pointer kernel uses: serial breadth-first expansion into
-// node-pair tasks, atomic-cursor claiming, per-task pair buffers replayed in
-// task order from the caller's goroutine (deterministic emission for a given
-// image pair and worker count), whole-join accounting flushed once.
+// PackedJoinFuncContext using a pool of workers. The traversal's top levels
+// are expanded serially into independent node-pair tasks; workers claim tasks
+// through an atomic cursor, run the ordinary packed traversal on each task's
+// subtrees, and buffer the emitted pairs per task. After the pool finishes,
+// the buffers are replayed into emit in task order, so for given images and a
+// given worker count the emitted sequence is deterministic regardless of
+// scheduling (the task granularity scales with the pool, so different worker
+// counts may order pairs differently while emitting the same set) — and emit
+// is always called from the caller's goroutine, never concurrently.
 //
 // workers ≤ 0 selects GOMAXPROCS; workers == 1 falls back to the serial
-// PackedJoinFuncContext. Both images may be shared with concurrent readers.
+// PackedJoinFuncContext. The context is polled inside every worker per batch
+// of node visits, between tasks, and between buffers of the final merge; a
+// done context stops the pool and returns its error. Node-access accounting
+// and the rtree_packed_* counters are updated once, at the end, with the sum
+// of all workers' work. Both images may be shared with concurrent readers.
 func PackedJoinFuncParallelContext(ctx context.Context, a, b *Packed, workers int, emit func(aID, bID int)) error {
 	workers = ResolveJoinWorkers(workers)
 	if workers == 1 {
@@ -475,7 +490,11 @@ func PackedJoinFuncParallelContext(ctx context.Context, a, b *Packed, workers in
 			return err
 		}
 	}
-	// Deterministic merge, polled per buffer like the pointer kernel's.
+	// Deterministic merge: replay each task's buffer in task order. A huge
+	// result set makes this loop long too, so it polls between buffers —
+	// cancellation mid-merge stops the replay with some pairs already
+	// emitted, the same partial-emission semantics as a cancelled serial
+	// join.
 	for _, buf := range results {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -236,4 +236,9 @@ func BenchmarkPackedJoin(b *testing.B) {
 			PackedJoinCount(pa, pb)
 		}
 	})
+	b.Run("packed_parallel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PackedJoinCountParallel(pa, pb, 0)
+		}
+	})
 }

@@ -1,5 +1,11 @@
 package rtree
 
+// Tests of the parallel packed join (PackedJoinFuncParallelContext and
+// PackedJoinCountParallel). The test names are those of the pointer-tree
+// parallel join the packed kernel replaced; every case builds pointer trees,
+// packs them, and checks the parallel packed kernel against the serial
+// pointer join, the plane sweep and the partition join.
+
 import (
 	"context"
 	"errors"
@@ -12,11 +18,11 @@ import (
 	"spatialsel/internal/sweep"
 )
 
-// collectParallel runs the parallel join and returns the emitted pairs.
-func collectParallel(t *testing.T, ta, tb *Tree, workers int) []JoinPair {
+// collectParallel runs the parallel packed join and returns the emitted pairs.
+func collectParallel(t *testing.T, pa, pb *Packed, workers int) []JoinPair {
 	t.Helper()
 	var out []JoinPair
-	if err := JoinFuncParallelContext(context.Background(), ta, tb, workers, func(a, b int) {
+	if err := PackedJoinFuncParallelContext(context.Background(), pa, pb, workers, func(a, b int) {
 		out = append(out, JoinPair{A: a, B: b})
 	}); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
@@ -32,9 +38,13 @@ func pairSet(ps []JoinPair) map[JoinPair]int {
 	return m
 }
 
-// TestJoinFuncParallelContextCrossValidated checks the parallel join's pair
-// set against three independent exact joins — the serial R-tree join, the
-// plane sweep, and the partition-based join — on uniform, clustered, and
+// joinWorkerCounts are the pool sizes the differential tests run: auto (0),
+// serial (1), and small, odd, and oversubscribed pools.
+var joinWorkerCounts = []int{0, 1, 2, 3, 8, 16}
+
+// TestJoinFuncParallelContextCrossValidated checks the parallel packed join's
+// pair set against three independent exact joins — the serial R-tree join,
+// the plane sweep, and the partition-based join — on uniform, clustered, and
 // degenerate inputs.
 func TestJoinFuncParallelContextCrossValidated(t *testing.T) {
 	type gen func(n int, seed int64) []geom.Rect
@@ -61,8 +71,8 @@ func TestJoinFuncParallelContextCrossValidated(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			as := tc.gen(tc.na, 300)
 			bs := tc.gen(tc.nb, 301)
-			ta, _ := BulkLoadSTR(ItemsFromRects(as), WithFanout(2, 8))
-			tb, _ := BulkLoadSTR(ItemsFromRects(bs), WithFanout(2, 8))
+			ta, pa := packOf(t, as)
+			tb, pb := packOf(t, bs)
 			want := pairSet(Join(ta, tb))
 			if got := sweep.Count(as, bs); got != len(want) {
 				t.Fatalf("sweep disagrees with serial join: %d vs %d", got, len(want))
@@ -70,8 +80,8 @@ func TestJoinFuncParallelContextCrossValidated(t *testing.T) {
 			if got := partjoin.Count(as, bs, partjoin.Config{}); got != len(want) {
 				t.Fatalf("partjoin disagrees with serial join: %d vs %d", got, len(want))
 			}
-			for _, workers := range []int{0, 2, 3, 8} {
-				got := pairSet(collectParallel(t, ta, tb, workers))
+			for _, workers := range joinWorkerCounts {
+				got := pairSet(collectParallel(t, pa, pb, workers))
 				if len(got) != len(want) {
 					t.Fatalf("workers=%d: %d pairs, want %d", workers, len(got), len(want))
 				}
@@ -86,11 +96,12 @@ func TestJoinFuncParallelContextCrossValidated(t *testing.T) {
 }
 
 func TestJoinFuncParallelContextEmptyTrees(t *testing.T) {
-	empty := MustNew()
+	empty := Pack(MustNew())
 	full, _ := BulkLoadSTR(ItemsFromRects(randRects(200, 302)))
-	for _, pair := range [][2]*Tree{{empty, full}, {full, empty}, {empty, empty}} {
+	pf := Pack(full)
+	for _, pair := range [][2]*Packed{{empty, pf}, {pf, empty}, {empty, empty}} {
 		if got := collectParallel(t, pair[0], pair[1], 4); len(got) != 0 {
-			t.Fatalf("join with empty tree emitted %d pairs", len(got))
+			t.Fatalf("join with empty image emitted %d pairs", len(got))
 		}
 	}
 }
@@ -102,10 +113,11 @@ func TestJoinFuncParallelContextDeterministic(t *testing.T) {
 	as, bs := randRects(5000, 303), randRects(4000, 304)
 	ta, _ := BulkLoadSTR(ItemsFromRects(as))
 	tb, _ := BulkLoadSTR(ItemsFromRects(bs))
+	pa, pb := Pack(ta), Pack(tb)
 	for _, workers := range []int{2, 4} {
-		first := collectParallel(t, ta, tb, workers)
+		first := collectParallel(t, pa, pb, workers)
 		for run := 0; run < 3; run++ {
-			again := collectParallel(t, ta, tb, workers)
+			again := collectParallel(t, pa, pb, workers)
 			if len(again) != len(first) {
 				t.Fatalf("workers=%d run %d: %d pairs, want %d", workers, run, len(again), len(first))
 			}
@@ -126,7 +138,7 @@ func TestJoinFuncParallelContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	emitted := 0
-	err := JoinFuncParallelContext(ctx, ta, tb, 4, func(int, int) { emitted++ })
+	err := PackedJoinFuncParallelContext(ctx, Pack(ta), Pack(tb), 4, func(int, int) { emitted++ })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled join returned %v", err)
 	}
@@ -135,49 +147,49 @@ func TestJoinFuncParallelContextCancellation(t *testing.T) {
 	}
 }
 
-// TestJoinFuncParallelContextAccounting verifies the gap the old parallel
-// join had: node accesses on both trees and the engine join counters must be
-// updated by a parallel run.
+// TestJoinFuncParallelContextAccounting verifies a parallel run updates both
+// images' node-access counters. The parallel task decomposition does not
+// visit the serial node sequence (a task keeps one subtree root pinned where
+// the serial join re-touches it per pair), so the counts differ, but they
+// must be non-zero on both images and bounded by a small multiple of the
+// serial numbers.
 func TestJoinFuncParallelContextAccounting(t *testing.T) {
 	as, bs := randRects(3000, 307), randRects(3000, 308)
 	ta, _ := BulkLoadSTR(ItemsFromRects(as))
 	tb, _ := BulkLoadSTR(ItemsFromRects(bs))
-	ta.ResetAccesses()
-	tb.ResetAccesses()
-	want := JoinCount(ta, tb)
-	serialA, serialB := ta.Accesses(), tb.Accesses()
+	pa, pb := Pack(ta), Pack(tb)
+	pa.ResetAccesses()
+	pb.ResetAccesses()
+	want := PackedJoinCount(pa, pb)
+	serialA, serialB := pa.Accesses(), pb.Accesses()
 	if serialA == 0 || serialB == 0 {
 		t.Fatal("serial join did not count accesses")
 	}
-	ta.ResetAccesses()
-	tb.ResetAccesses()
-	if got := JoinCountParallel(ta, tb, 4); got != want {
+	pa.ResetAccesses()
+	pb.ResetAccesses()
+	if got := PackedJoinCountParallel(pa, pb, 4); got != want {
 		t.Fatalf("parallel count %d, want %d", got, want)
 	}
-	// The parallel task decomposition does not visit the serial node sequence
-	// (a task keeps one subtree root "pinned" where the serial join re-touches
-	// it per pair), so the counts differ — but they must be non-zero on both
-	// trees and bounded by a small multiple of the serial numbers.
 	for _, c := range []struct {
 		name             string
 		got, serialCount int64
-	}{{"a", ta.Accesses(), serialA}, {"b", tb.Accesses(), serialB}} {
+	}{{"a", pa.Accesses(), serialA}, {"b", pb.Accesses(), serialB}} {
 		if c.got == 0 {
-			t.Fatalf("parallel join left tree %s accesses at zero", c.name)
+			t.Fatalf("parallel join left image %s accesses at zero", c.name)
 		}
 		if c.got > 8*c.serialCount {
-			t.Fatalf("tree %s: parallel accesses %d wildly above serial %d", c.name, c.got, c.serialCount)
+			t.Fatalf("image %s: parallel accesses %d wildly above serial %d", c.name, c.got, c.serialCount)
 		}
 	}
 }
 
-// TestJoinFuncParallelContextSharedTreeHammer runs many parallel joins, a
-// serial join, and range searches concurrently over the same two trees; with
-// -race this is the read-sharing safety proof for the executor's usage.
+// TestJoinFuncParallelContextSharedTreeHammer runs parallel and serial packed
+// joins and pointer-tree range searches concurrently over the same two
+// tables' index and image; with -race this is the read-sharing safety proof
+// for the executor's usage (packed first join, pointer-tree extension probes).
 func TestJoinFuncParallelContextSharedTreeHammer(t *testing.T) {
-	as, bs := randRects(2500, 309), randRects(2500, 310)
-	ta, _ := BulkLoadSTR(ItemsFromRects(as))
-	tb, _ := BulkLoadSTR(ItemsFromRects(bs))
+	ta, pa := packOf(t, randRects(2500, 309))
+	tb, pb := packOf(t, randRects(2500, 310))
 	want := JoinCount(ta, tb)
 
 	const goroutines = 8
@@ -188,10 +200,10 @@ func TestJoinFuncParallelContextSharedTreeHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			switch g % 3 {
-			case 0: // parallel joins
+			case 0: // parallel packed joins
 				for i := 0; i < 3; i++ {
 					n := 0
-					if err := JoinFuncParallelContext(context.Background(), ta, tb, 4, func(int, int) { n++ }); err != nil {
+					if err := PackedJoinFuncParallelContext(context.Background(), pa, pb, 4, func(int, int) { n++ }); err != nil {
 						errs[g] = err
 						return
 					}
@@ -200,14 +212,14 @@ func TestJoinFuncParallelContextSharedTreeHammer(t *testing.T) {
 						return
 					}
 				}
-			case 1: // serial joins on the same trees
+			case 1: // serial packed joins on the same images
 				for i := 0; i < 3; i++ {
-					if JoinCount(ta, tb) != want {
+					if PackedJoinCount(pa, pb) != want {
 						errs[g] = errors.New("serial count mismatch under concurrency")
 						return
 					}
 				}
-			default: // range searches sharing the access counter
+			default: // range searches on the pointer trees sharing the tables
 				var buf []int
 				for i := 0; i < 200; i++ {
 					buf = ta.Search(geom.NewRect(0.2, 0.2, 0.4, 0.4), buf[:0])
@@ -234,13 +246,11 @@ func TestJoinCountParallelMatchesSerial(t *testing.T) {
 		{"asymmetric", 8000, 300},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			as := randRects(tc.na, 230)
-			bs := randRects(tc.nb, 231)
-			ta, _ := BulkLoadSTR(ItemsFromRects(as), WithFanout(2, 8))
-			tb, _ := BulkLoadSTR(ItemsFromRects(bs), WithFanout(2, 8))
+			ta, pa := packOf(t, randRects(tc.na, 230))
+			tb, pb := packOf(t, randRects(tc.nb, 231))
 			want := JoinCount(ta, tb)
-			for _, workers := range []int{0, 1, 2, 4, 16} {
-				if got := JoinCountParallel(ta, tb, workers); got != want {
+			for _, workers := range joinWorkerCounts {
+				if got := PackedJoinCountParallel(pa, pb, workers); got != want {
 					t.Fatalf("workers=%d: %d, want %d", workers, got, want)
 				}
 			}
@@ -250,46 +260,48 @@ func TestJoinCountParallelMatchesSerial(t *testing.T) {
 
 func TestJoinCountParallelInsertBuilt(t *testing.T) {
 	// Insertion-built trees have different shapes (heights, fills) — the
-	// task expansion must handle them too.
-	as := randRects(3000, 232)
-	bs := randRects(2500, 233)
-	ta, _ := BulkLoadInsert(ItemsFromRects(as), WithFanout(2, 6))
-	tb, _ := BulkLoadInsert(ItemsFromRects(bs), WithFanout(2, 6))
-	if got, want := JoinCountParallel(ta, tb, 4), JoinCount(ta, tb); got != want {
-		t.Fatalf("parallel %d, serial %d", got, want)
+	// packed layout and the task expansion must handle them too.
+	ta, _ := BulkLoadInsert(ItemsFromRects(randRects(3000, 232)), WithFanout(2, 6))
+	tb, _ := BulkLoadInsert(ItemsFromRects(randRects(2500, 233)), WithFanout(2, 6))
+	pa, pb := Pack(ta), Pack(tb)
+	want := JoinCount(ta, tb)
+	for _, workers := range joinWorkerCounts {
+		if got := PackedJoinCountParallel(pa, pb, workers); got != want {
+			t.Fatalf("workers=%d: parallel %d, serial %d", workers, got, want)
+		}
 	}
 }
 
 func TestJoinCountParallelEdgeCases(t *testing.T) {
-	empty := MustNew()
+	empty := Pack(MustNew())
 	full, _ := BulkLoadSTR(ItemsFromRects(randRects(100, 234)))
-	if got := JoinCountParallel(empty, full, 4); got != 0 {
+	pf := Pack(full)
+	if got := PackedJoinCountParallel(empty, pf, 4); got != 0 {
 		t.Fatalf("empty parallel join = %d", got)
 	}
-	if got := JoinCountParallel(full, empty, 4); got != 0 {
+	if got := PackedJoinCountParallel(pf, empty, 4); got != 0 {
 		t.Fatalf("parallel join empty = %d", got)
 	}
-	// Single-item trees.
+	// Single-item images, on either side and against each other.
 	one := MustNew()
 	one.Insert(randRects(1, 235)[0], 0)
-	if got, want := JoinCountParallel(one, full, 4), JoinCount(one, full); got != want {
-		t.Fatalf("single-item parallel = %d, want %d", got, want)
+	po := Pack(one)
+	for _, c := range []struct {
+		name string
+		a, b *Tree
+		pa   *Packed
+		pb   *Packed
+	}{
+		{"one×full", one, full, po, pf},
+		{"full×one", full, one, pf, po},
+		{"one×one", one, one, po, po},
+	} {
+		want := JoinCount(c.a, c.b)
+		if got := PackedJoinCount(c.pa, c.pb); got != want {
+			t.Fatalf("%s: serial packed = %d, want %d", c.name, got, want)
+		}
+		if got := PackedJoinCountParallel(c.pa, c.pb, 4); got != want {
+			t.Fatalf("%s: parallel packed = %d, want %d", c.name, got, want)
+		}
 	}
-}
-
-func BenchmarkJoinCountParallel(b *testing.B) {
-	as := randRects(60000, 236)
-	bs := randRects(60000, 237)
-	ta, _ := BulkLoadSTR(ItemsFromRects(as))
-	tb, _ := BulkLoadSTR(ItemsFromRects(bs))
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			JoinCount(ta, tb)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			JoinCountParallel(ta, tb, 0)
-		}
-	})
 }

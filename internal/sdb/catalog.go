@@ -47,12 +47,12 @@ type Table struct {
 	Data  *dataset.Dataset
 	Index *rtree.Tree
 	Stats *histogram.GHSummary
-	// Packed is the read-optimized SoA image of Index, present on tables
-	// whose index is frozen for the table's lifetime (bulk-built tables,
-	// published snapshots). The executor prefers the packed join kernel when
-	// both sides of a join carry one; nil means fall back to the pointer
-	// kernel. A non-nil Packed must mirror Index exactly — producers build it
-	// from the same immutable tree they attach.
+	// Packed is the read-optimized SoA image of Index, which the executor's
+	// join kernel reads. It is never nil on an attached table: Attach
+	// rejects a table without one. Packed must mirror Index exactly —
+	// producers build it from the same immutable tree they attach
+	// (BuildTable packs every table it builds; server.Store.Publish packs
+	// ingest snapshots off-lock before attaching them).
 	Packed *rtree.Packed
 	// RawExtent is the dataset's extent before normalization to the unit
 	// square. The live-ingest path uses it to map incoming rectangles (given
@@ -123,11 +123,14 @@ func (c *Catalog) BuildTable(d *dataset.Dataset) (*Table, error) {
 }
 
 // Attach registers a pre-built table (from BuildTable, or carried over from
-// another catalog snapshot). The table's statistics must match the catalog's
-// level.
+// another catalog snapshot). The table must carry its packed image, and its
+// statistics must match the catalog's level.
 func (c *Catalog) Attach(t *Table) error {
 	if t.Name == "" {
 		return fmt.Errorf("sdb: table has no name")
+	}
+	if t.Packed == nil {
+		return fmt.Errorf("sdb: table %q has no packed image", t.Name)
 	}
 	if t.Stats.Level() != c.level {
 		return fmt.Errorf("sdb: table %q statistics at level %d, catalog at level %d",

@@ -20,8 +20,6 @@ var (
 		"Result rows materialized by the executor, summed over operators.")
 	mExecProbeRows = obs.Default.Counter("sdb_exec_probe_rows_total",
 		"Index probes issued by extension steps.")
-	mExecPackedJoins = obs.Default.Counter("sdb_exec_packed_joins_total",
-		"First joins executed on the packed SoA kernel instead of the pointer tree.")
 )
 
 // relError is the paper's estimation error |est − actual| / actual; an
@@ -63,9 +61,9 @@ type Result struct {
 func (r *Result) Len() int { return len(r.Rows) }
 
 // Execute runs the plan and materializes the result. The first join runs as
-// a synchronized R-tree join; every subsequent table is joined in by probing
-// its R-tree with the rectangle of each row's connecting item, verifying any
-// additional predicates directly.
+// a synchronized join of the two tables' packed R-tree images; every
+// subsequent table is joined in by probing its R-tree with the rectangle of
+// each row's connecting item, verifying any additional predicates directly.
 func (p *Plan) Execute() (*Result, error) {
 	return p.ExecuteContext(context.Background())
 }
@@ -133,7 +131,7 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 		cols = append(cols, s.Table)
 	}
 
-	// First join via synchronized R-tree traversal.
+	// First join via synchronized traversal of the packed images.
 	first := p.Steps[0]
 	baseTab, err := c.Table(p.Base)
 	if err != nil {
@@ -152,18 +150,9 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	jctx, jcancel := context.WithCancel(jctx)
 	defer jcancel()
 	joinWorkers := resolveWorkers(p.Workers, baseTab.Len()+stepTab.Len(), parallelJoinMinItems)
-	// The packed SoA kernel engages when both sides carry a packed snapshot
-	// image (bulk-built tables and published snapshots always do); tables
-	// whose index mutates in place fall back to the pointer kernel
-	// transparently. Both kernels emit the identical pair set.
-	joinKernel := func(ctx context.Context, emit func(a, b int)) error {
-		if baseTab.Packed != nil && stepTab.Packed != nil {
-			mExecPackedJoins.Inc()
-			return rtree.PackedJoinFuncParallelContext(ctx, baseTab.Packed, stepTab.Packed, joinWorkers, emit)
-		}
-		return rtree.JoinFuncParallelContext(ctx, baseTab.Index, stepTab.Index, joinWorkers, emit)
-	}
-	jerr := joinKernel(jctx, func(a, b int) {
+	// Every attached table carries its packed image, so the first join always
+	// runs on the packed SoA kernel.
+	jerr := rtree.PackedJoinFuncParallelContext(jctx, baseTab.Packed, stepTab.Packed, joinWorkers, func(a, b int) {
 		if ferr != nil {
 			return
 		}

@@ -61,6 +61,19 @@ func TestCatalogBasics(t *testing.T) {
 	if _, err := c.Create(bad); err == nil {
 		t.Fatal("invalid dataset accepted")
 	}
+	// Attach rejects a table without its packed image.
+	built, err := c.BuildTable(datagen.Uniform("unpacked", 50, 0.01, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpacked := *built
+	unpacked.Packed = nil
+	if err := c.Attach(&unpacked); err == nil {
+		t.Fatal("table with nil Packed attached")
+	}
+	if err := c.Attach(built); err != nil {
+		t.Fatalf("Attach(built): %v", err)
+	}
 }
 
 func TestNewCatalogAtLevelValidation(t *testing.T) {

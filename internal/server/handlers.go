@@ -64,10 +64,25 @@ func (s *Server) writeOverloaded(w http.ResponseWriter, reason string) {
 	writeError(w, http.StatusServiceUnavailable, "query shed: %s; retry after %s", reason, ra)
 }
 
+// maxRequestWorkers caps a request's workers field. A join pool allocates
+// per-worker state and starts one goroutine per worker, so an unbounded value
+// lets one request spend seconds and hundreds of megabytes on scheduling
+// alone; 256 is well above the core count a pool can put to use.
+const maxRequestWorkers = 256
+
+// validateWorkers rejects a request workers value outside [0, maxRequestWorkers].
+func validateWorkers(w http.ResponseWriter, workers int) bool {
+	if workers < 0 || workers > maxRequestWorkers {
+		writeError(w, http.StatusBadRequest, "workers must be in [0, %d], got %d", maxRequestWorkers, workers)
+		return false
+	}
+	return true
+}
+
 // resolveWorkers maps a request's workers field onto the effective executor
 // parallelism: 0 defers to the server default (sdbd -workers, itself 0 = auto
-// by default), anything else is used as given. Negative values are rejected
-// before this point.
+// by default), anything else is used as given. Out-of-range values are
+// rejected before this point.
 func (s *Server) resolveWorkers(requested int) int {
 	if requested != 0 {
 		return requested
@@ -326,8 +341,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, "workers must be ≥ 0, got %d", req.Workers)
+	if !validateWorkers(w, req.Workers) {
 		return
 	}
 	start := time.Now()
@@ -583,8 +597,9 @@ type QueryRequest struct {
 	Limit      int                   `json:"limit,omitempty"`
 	Offset     int                   `json:"offset,omitempty"`
 	// Workers sets this query's executor parallelism: 0 uses the server
-	// default (sdbd -workers), 1 forces serial execution, larger values force
-	// that pool size for the R-tree join and the extension-step probes.
+	// default (sdbd -workers), 1 forces serial execution, larger values up to
+	// maxRequestWorkers force that pool size for the R-tree join and the
+	// extension-step probes.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -611,8 +626,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, "workers must be ≥ 0, got %d", req.Workers)
+	if !validateWorkers(w, req.Workers) {
 		return
 	}
 	start := time.Now()

@@ -86,24 +86,35 @@ func TestEstimateWorkers(t *testing.T) {
 	}
 }
 
-// TestWorkersValidation: negative workers is a client error on both the query
-// and estimate endpoints.
+// TestWorkersValidation: negative workers, and workers above the per-request
+// ceiling, are client errors on both the query and estimate endpoints.
 func TestWorkersValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Level: 4})
 	createTable(t, ts.URL, "wa", "uniform", 100, 61, false)
 	createTable(t, ts.URL, "wb", "uniform", 100, 62, false)
 
-	var errResp errorResponse
+	for _, workers := range []int{-1, maxRequestWorkers + 1, 10_000_000} {
+		var errResp errorResponse
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", QueryRequest{
+			Tables:     []string{"wa", "wb"},
+			Predicates: [][2]string{{"wa", "wb"}},
+			Workers:    workers,
+		}, &errResp); code != http.StatusBadRequest {
+			t.Fatalf("workers=%d on query: status %d", workers, code)
+		}
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/estimate", EstimateRequest{
+			Left: "wa", Right: "wb", Workers: workers,
+		}, &errResp); code != http.StatusBadRequest {
+			t.Fatalf("workers=%d on estimate: status %d", workers, code)
+		}
+	}
+	// The ceiling itself is accepted.
+	var resp QueryResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", QueryRequest{
 		Tables:     []string{"wa", "wb"},
 		Predicates: [][2]string{{"wa", "wb"}},
-		Workers:    -1,
-	}, &errResp); code != http.StatusBadRequest {
-		t.Fatalf("negative workers on query: status %d", code)
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/estimate", EstimateRequest{
-		Left: "wa", Right: "wb", Workers: -2,
-	}, &errResp); code != http.StatusBadRequest {
-		t.Fatalf("negative workers on estimate: status %d", code)
+		Workers:    maxRequestWorkers,
+	}, &resp); code != http.StatusOK {
+		t.Fatalf("workers=%d on query: status %d", maxRequestWorkers, code)
 	}
 }
