@@ -68,8 +68,10 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # Machine-readable perf snapshot: runs the fixed estimator/join workload and
-# writes BENCH_<date>.json (latency percentiles, accuracy, serial-vs-parallel
-# join kernel comparison with a count-equality gate, engine counters).
+# writes BENCH_<date>_<commit>[-dirty].json (latency percentiles, accuracy,
+# serial-vs-parallel join kernel comparison with a count-equality gate, engine
+# counters, the commit, dirty flag and CPU model), so snapshots of different
+# trees never overwrite each other.
 bench:
 	$(GO) run ./cmd/benchrun -scale 0.1 -out .
 

@@ -1,14 +1,17 @@
 // Command benchrun executes a fixed estimator/join workload and writes a
-// machine-readable BENCH_<date>.json snapshot: per-method estimation accuracy
-// and latency percentiles, join execution latency, and the engine's obs
-// counters. Committing one snapshot per perf-relevant PR makes the repo's
-// performance trajectory diffable.
+// machine-readable BENCH_<date>_<commit>[-dirty].json snapshot: per-method
+// estimation accuracy and latency percentiles, join execution latency, and
+// the engine's obs counters, stamped with the commit, whether the working
+// tree was dirty, and the host's CPU. Committing one snapshot per
+// perf-relevant change makes the repo's performance trajectory diffable, and
+// the name keeps snapshots of different trees from overwriting each other.
 //
 //	$ go run ./cmd/benchrun -scale 0.2 -out .
 //	$ cat BENCH_2026-08-05.json | jq .methods.gh
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -36,6 +39,8 @@ type Report struct {
 	Date       string             `json:"date"`
 	GoVersion  string             `json:"go_version"`
 	GitCommit  string             `json:"git_commit,omitempty"` // short HEAD, "" outside a repo
+	Dirty      bool               `json:"dirty"`                // working tree differed from GitCommit
+	CPUModel   string             `json:"cpu_model,omitempty"`  // "" where the platform does not say
 	NumCPU     int                `json:"num_cpu"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	Workers    int                `json:"workers"`
@@ -136,15 +141,46 @@ func main() {
 	}
 }
 
-// gitCommit stamps the snapshot with the working tree's short HEAD so the
-// bench trajectory is attributable across PRs. Best-effort: outside a git
-// checkout (or without git on PATH) it returns "".
-func gitCommit() string {
+// gitCommit stamps the snapshot with the working tree's short HEAD and
+// whether the tree differs from it (modified or untracked, non-ignored
+// files), so the bench trajectory is attributable to exact sources.
+// Best-effort: outside a git checkout (or without git on PATH) it returns
+// "" and false.
+func gitCommit() (commit string, dirty bool) {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "", false
+	}
+	status, err := exec.Command("git", "status", "--porcelain").Output()
+	return strings.TrimSpace(string(out)), err == nil && len(bytes.TrimSpace(status)) > 0
+}
+
+// cpuModel returns the host CPU's model name from /proc/cpuinfo, or "" where
+// that file does not exist or does not name one.
+func cpuModel() string {
+	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	for _, line := range strings.Split(string(info), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
+// reportName is the snapshot's file name: BENCH_<date>_<commit>[-dirty].json,
+// or BENCH_<date>.json when no commit is known.
+func reportName(rep Report) string {
+	name := "BENCH_" + rep.Date
+	if rep.GitCommit != "" {
+		name += "_" + rep.GitCommit
+		if rep.Dirty {
+			name += "-dirty"
+		}
+	}
+	return name + ".json"
 }
 
 func run(args []string) error {
@@ -156,7 +192,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "parallel join pool size (0 = GOMAXPROCS)")
 	overload := fs.Bool("overload", true, "run the 2x-capacity overload scenario (admission gate on vs off)")
 	overloadMS := fs.Int("overload-ms", 1200, "overload scenario phase duration in milliseconds")
-	outDir := fs.String("out", ".", "directory for BENCH_<date>.json")
+	outDir := fs.String("out", ".", "directory for the BENCH_<date>_<commit>[-dirty].json snapshot")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -165,10 +201,13 @@ func run(args []string) error {
 	*workers = rtree.ResolveJoinWorkers(*workers)
 
 	before := obs.Default.Snapshot()
+	commit, dirty := gitCommit()
 	rep := Report{
 		Date:       time.Now().Format("2006-01-02"),
 		GoVersion:  runtime.Version(),
-		GitCommit:  gitCommit(),
+		GitCommit:  commit,
+		Dirty:      dirty,
+		CPUModel:   cpuModel(),
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    *workers,
@@ -222,7 +261,7 @@ func run(args []string) error {
 		}
 	}
 
-	path := filepath.Join(*outDir, "BENCH_"+rep.Date+".json")
+	path := filepath.Join(*outDir, reportName(rep))
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -133,10 +133,15 @@ func (g *GH) Estimate(a, b core.Summary) (core.Estimate, error) {
 	if sa.level != g.grid.Level() || sb.level != g.grid.Level() {
 		return core.Estimate{}, core.ErrSummaryMismatch
 	}
+	// Each cell's four terms are summed as two mirrored pairs, and every
+	// product is rounded on its own (the float64 conversions forbid fused
+	// multiply-adds), so swapping a and b only swaps the operands of
+	// commutative operations: Estimate(a, b) and Estimate(b, a) agree bit
+	// for bit, which the name-ordered estimate cache relies on.
 	var ip float64
 	for idx := range sa.cells {
 		ca, cb := &sa.cells[idx], &sb.cells[idx]
-		ip += ca.C*cb.O + cb.C*ca.O + ca.H*cb.V + cb.H*ca.V
+		ip += (float64(ca.C*cb.O) + float64(cb.C*ca.O)) + (float64(ca.H*cb.V) + float64(cb.H*ca.V))
 	}
 	recordEstimate("gh", len(sa.cells))
 	return core.NewEstimate(ip/4, sa.n, sb.n), nil

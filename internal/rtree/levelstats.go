@@ -19,19 +19,10 @@ func (t *Tree) LevelStats() []LevelStat {
 	if t.root == nil {
 		return nil
 	}
-	type acc struct {
-		nodes            int
-		sumW, sumH, sumA float64
-	}
-	levels := make([]acc, t.height)
+	levels := make([]levelAcc, t.height)
 	var walk func(n *node, depth int)
 	walk = func(n *node, depth int) {
-		m := n.mbr()
-		a := &levels[depth-1]
-		a.nodes++
-		a.sumW += m.Width()
-		a.sumH += m.Height()
-		a.sumA += m.Area()
+		levels[depth-1].add(n.mbr())
 		if n.leaf {
 			return
 		}
@@ -40,7 +31,25 @@ func (t *Tree) LevelStats() []LevelStat {
 		}
 	}
 	walk(t.root, 1)
-	out := make([]LevelStat, t.height)
+	return levelStats(levels)
+}
+
+// levelAcc sums one level's node MBR dimensions in visiting order.
+type levelAcc struct {
+	nodes            int
+	sumW, sumH, sumA float64
+}
+
+func (a *levelAcc) add(m geom.Rect) {
+	a.nodes++
+	a.sumW += m.Width()
+	a.sumH += m.Height()
+	a.sumA += m.Area()
+}
+
+// levelStats turns per-level sums, root first, into averages.
+func levelStats(levels []levelAcc) []LevelStat {
+	out := make([]LevelStat, len(levels))
 	for i, a := range levels {
 		n := float64(a.nodes)
 		out[i] = LevelStat{

@@ -66,6 +66,10 @@ type Packed struct {
 	grpXMax []float64
 	grpYMax []float64
 
+	// levels holds the per-level node aggregates the analytic cost model
+	// reads (see LevelStats), accumulated once while Pack lays the nodes out.
+	levels []LevelStat
+
 	size   int
 	height int
 }
@@ -92,13 +96,23 @@ func Pack(t *Tree) *Packed {
 	curve := hilbert.MustNew(hilbert.MaxOrder, curveMBR)
 
 	// Breadth-first layout: visiting node i appends its children as one
-	// contiguous run, so start/count address them by id.
+	// contiguous run, so start/count address them by id. Nodes of one depth
+	// form one contiguous id run ending at levelEnd, visited left to right
+	// exactly as Tree.LevelStats' preorder walk visits them, so the level
+	// sums below add in the same order and come out bit-identical.
 	queue := []*node{t.root}
 	var keys []uint64
 	var perm []int
+	levels := make([]levelAcc, 0, t.height)
+	levelEnd := 0
 	for qi := 0; qi < len(queue); qi++ {
+		if qi == levelEnd {
+			levels = append(levels, levelAcc{})
+			levelEnd = len(queue)
+		}
 		n := queue[qi]
 		m := n.mbr()
+		levels[len(levels)-1].add(m)
 		p.nodeXMin = append(p.nodeXMin, m.MinX)
 		p.nodeYMin = append(p.nodeYMin, m.MinY)
 		p.nodeXMax = append(p.nodeXMax, m.MaxX)
@@ -164,6 +178,7 @@ func Pack(t *Tree) *Packed {
 		}
 		p.grpXMin[g], p.grpYMin[g], p.grpXMax[g], p.grpYMax[g] = xm, ym, xM, yM
 	}
+	p.levels = levelStats(levels)
 	mPackedBuilds.Inc()
 	mPackedBuildSeconds.Add(time.Since(startTime).Seconds())
 	return p
@@ -178,6 +193,14 @@ func (p *Packed) Len() int { return p.size }
 
 // Height returns the number of levels (0 when empty).
 func (p *Packed) Height() int { return p.height }
+
+// LevelStats returns the per-level node count and average MBR extents, root
+// first — bit-identical to the source tree's Tree.LevelStats, but computed
+// once at pack time instead of by a tree walk per call. The slice is a copy;
+// an empty image returns nil.
+func (p *Packed) LevelStats() []LevelStat {
+	return append([]LevelStat(nil), p.levels...)
+}
 
 // NumNodes returns the number of nodes in the image.
 func (p *Packed) NumNodes() int { return len(p.leaf) }

@@ -18,37 +18,95 @@ func packOf(t *testing.T, rects []geom.Rect) (*Tree, *Packed) {
 	return tr, Pack(tr)
 }
 
+// TestPackMirrorsTree checks the image against its source tree on STR,
+// insert-built and post-delete topologies: same size, height, root MBR and
+// node count, every live item with its exact rect, and level statistics
+// bit-identical to Tree.LevelStats (the admission gate and EXPLAIN read the
+// packed ones in its place).
 func TestPackMirrorsTree(t *testing.T) {
 	rects := randRects(2000, 7)
-	tr, p := packOf(t, rects)
-
-	if p.Len() != tr.Len() {
-		t.Fatalf("Len = %d, want %d", p.Len(), tr.Len())
+	str, err := BulkLoadSTR(ItemsFromRects(rects), WithFanout(2, 8))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Height() != tr.Height() {
-		t.Fatalf("Height = %d, want %d", p.Height(), tr.Height())
+	inserted := MustNew(WithFanout(2, 6))
+	for i, r := range rects {
+		inserted.Insert(r, i)
 	}
-	if got, want := p.RootMBR(), tr.root.mbr(); got != want {
-		t.Fatalf("RootMBR = %v, want %v", got, want)
+	deleted := MustNew(WithFanout(2, 6))
+	for i, r := range rects {
+		deleted.Insert(r, i)
 	}
-	if p.NumNodes() != tr.ComputeStats().Nodes {
-		t.Fatalf("NumNodes = %d, want %d", p.NumNodes(), tr.ComputeStats().Nodes)
-	}
-
-	// Every item survives with its exact rect.
-	seen := make(map[int]geom.Rect, len(rects))
-	p.VisitItems(func(id int, r geom.Rect) {
-		if _, dup := seen[id]; dup {
-			t.Fatalf("item %d appears twice", id)
+	live := map[int]geom.Rect{}
+	for i, r := range rects {
+		if i%3 == 0 {
+			if !deleted.Delete(r, i) {
+				t.Fatalf("delete %d failed", i)
+			}
+			continue
 		}
-		seen[id] = r
-	})
-	if len(seen) != len(rects) {
-		t.Fatalf("VisitItems yielded %d items, want %d", len(seen), len(rects))
+		live[i] = r
 	}
-	for id, r := range seen {
-		if r != rects[id] {
-			t.Fatalf("item %d rect = %v, want %v", id, r, rects[id])
+	all := map[int]geom.Rect{}
+	for i, r := range rects {
+		all[i] = r
+	}
+	for _, tc := range []struct {
+		name  string
+		tr    *Tree
+		items map[int]geom.Rect
+	}{
+		{"str", str, all},
+		{"insert-built", inserted, all},
+		{"after-deletes", deleted, live},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, p := tc.tr, Pack(tc.tr)
+			if p.Len() != tr.Len() {
+				t.Fatalf("Len = %d, want %d", p.Len(), tr.Len())
+			}
+			if p.Height() != tr.Height() {
+				t.Fatalf("Height = %d, want %d", p.Height(), tr.Height())
+			}
+			if got, want := p.RootMBR(), tr.root.mbr(); got != want {
+				t.Fatalf("RootMBR = %v, want %v", got, want)
+			}
+			if p.NumNodes() != tr.ComputeStats().Nodes {
+				t.Fatalf("NumNodes = %d, want %d", p.NumNodes(), tr.ComputeStats().Nodes)
+			}
+			requireSameLevelStats(t, tr, p)
+
+			// Every live item survives with its exact rect.
+			seen := make(map[int]geom.Rect, len(tc.items))
+			p.VisitItems(func(id int, r geom.Rect) {
+				if _, dup := seen[id]; dup {
+					t.Fatalf("item %d appears twice", id)
+				}
+				seen[id] = r
+			})
+			if len(seen) != len(tc.items) {
+				t.Fatalf("VisitItems yielded %d items, want %d", len(seen), len(tc.items))
+			}
+			for id, r := range seen {
+				if r != tc.items[id] {
+					t.Fatalf("item %d rect = %v, want %v", id, r, tc.items[id])
+				}
+			}
+		})
+	}
+}
+
+// requireSameLevelStats fails unless the image's pack-time level statistics
+// equal the tree walk's bit for bit.
+func requireSameLevelStats(t *testing.T, tr *Tree, p *Packed) {
+	t.Helper()
+	got, want := p.LevelStats(), tr.LevelStats()
+	if len(got) != len(want) {
+		t.Fatalf("LevelStats has %d levels, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("level %d: packed %+v, tree %+v", i+1, got[i], want[i])
 		}
 	}
 }
@@ -62,6 +120,9 @@ func TestPackEmptyAndSingle(t *testing.T) {
 	if p.Len() != 0 || p.NumNodes() != 0 || p.Height() != 0 {
 		t.Fatalf("empty pack: len=%d nodes=%d height=%d", p.Len(), p.NumNodes(), p.Height())
 	}
+	if p.LevelStats() != nil {
+		t.Fatalf("empty pack LevelStats = %v, want nil", p.LevelStats())
+	}
 	if got := p.Search(geom.NewRect(0, 0, 1, 1), nil); len(got) != 0 {
 		t.Fatalf("empty search returned %v", got)
 	}
@@ -72,6 +133,7 @@ func TestPackEmptyAndSingle(t *testing.T) {
 	if ps.Len() != 1 {
 		t.Fatalf("single pack len = %d", ps.Len())
 	}
+	requireSameLevelStats(t, one, ps)
 	if got := ps.Search(geom.NewRect(0, 0, 1, 1), nil); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("single search = %v, want [42]", got)
 	}

@@ -60,6 +60,11 @@ type Table struct {
 	// index and statistics live in; a zero rect means the table was built
 	// from pre-normalized data.
 	RawExtent geom.Rect
+	// Gen is the table's generation: the number that tells this version of
+	// the named table apart from every other in the estimate cache. The
+	// first Attach assigns it from the catalog's cache, and it never changes
+	// afterwards; builders leave it zero.
+	Gen uint64
 }
 
 // Len returns the table's cardinality.
@@ -71,20 +76,36 @@ type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	level  int
+	gh     *histogram.GH
+	cache  *EstimateCache
 }
 
 // NewCatalog returns an empty catalog using StatisticsLevel histograms.
 func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*Table), level: StatisticsLevel}
+	c, err := NewCatalogAtLevel(StatisticsLevel)
+	if err != nil {
+		panic(err) // StatisticsLevel is a valid constant level
+	}
+	return c
 }
 
 // NewCatalogAtLevel returns a catalog whose statistics use the given GH
-// level (useful for tests and small datasets).
+// level (useful for tests and small datasets), with a private estimate cache
+// of DefaultCacheSize entries.
 func NewCatalogAtLevel(level int) (*Catalog, error) {
-	if _, err := histogram.NewGrid(level); err != nil {
+	return NewCatalogWithCache(level, NewEstimateCache(DefaultCacheSize))
+}
+
+// NewCatalogWithCache returns a catalog at the given GH level that memoizes
+// pair estimates in cache and numbers its tables from it. Catalogs sharing a
+// cache share both, which is how a copy-on-write store keeps one estimate
+// memo across its successive snapshots.
+func NewCatalogWithCache(level int, cache *EstimateCache) (*Catalog, error) {
+	gh, err := histogram.NewGH(level)
+	if err != nil {
 		return nil, err
 	}
-	return &Catalog{tables: make(map[string]*Table), level: level}, nil
+	return &Catalog{tables: make(map[string]*Table), level: level, gh: gh, cache: cache}, nil
 }
 
 // BuildTable constructs a table — normalized data, R-tree index, GH
@@ -124,7 +145,8 @@ func (c *Catalog) BuildTable(d *dataset.Dataset) (*Table, error) {
 
 // Attach registers a pre-built table (from BuildTable, or carried over from
 // another catalog snapshot). The table must carry its packed image, and its
-// statistics must match the catalog's level.
+// statistics must match the catalog's level. A table without a generation
+// gets the next one from the catalog's estimate cache.
 func (c *Catalog) Attach(t *Table) error {
 	if t.Name == "" {
 		return fmt.Errorf("sdb: table has no name")
@@ -140,6 +162,9 @@ func (c *Catalog) Attach(t *Table) error {
 	defer c.mu.Unlock()
 	if _, dup := c.tables[t.Name]; dup {
 		return fmt.Errorf("sdb: table %q already exists", t.Name)
+	}
+	if t.Gen == 0 {
+		t.Gen = c.cache.nextGen()
 	}
 	c.tables[t.Name] = t
 	return nil
@@ -257,15 +282,30 @@ func (c *Catalog) EstimateJoinSize(a, b string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	gh, err := histogram.NewGH(c.level)
-	if err != nil {
-		return 0, err
-	}
-	est, err := gh.Estimate(ta.Stats, tb.Stats)
+	est, _, err := c.PairEstimate(ta, tb)
 	if err != nil {
 		return 0, err
 	}
 	return est.PairCount, nil
+}
+
+// PairEstimate returns the GH estimate of a ⋈ b from the tables' statistics
+// and whether it came from the estimate cache. It is the one GH pair
+// estimate the planner, EstimateJoinSize and the server's estimate endpoint
+// share: keyed by names, generations and level, a pair of unchanged tables
+// is scanned once and then recalled, and a replaced table's new generation
+// misses. Both tables must be attached (so they carry generations).
+func (c *Catalog) PairEstimate(a, b *Table) (core.Estimate, bool, error) {
+	key := PairKey(a, b, "gh", c.level)
+	if est, ok := c.cache.Get(key); ok {
+		return est, true, nil
+	}
+	est, err := c.gh.Estimate(a.Stats, b.Stats)
+	if err != nil {
+		return core.Estimate{}, false, err
+	}
+	c.cache.Put(key, est)
+	return est, false, nil
 }
 
 // EstimateRangeCount predicts how many of a table's items intersect the

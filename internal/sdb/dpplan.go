@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-
-	"spatialsel/internal/histogram"
 )
 
 // MaxDPTables bounds the exhaustive planner's input size; 2^12 subsets keep
@@ -26,10 +24,7 @@ func (c *Catalog) PlanDP(q Query) (*Plan, error) {
 	if len(q.Tables) > MaxDPTables {
 		return nil, fmt.Errorf("sdb: PlanDP supports at most %d tables (have %d); use Plan", MaxDPTables, len(q.Tables))
 	}
-	gh, err := histogram.NewGH(c.level)
-	if err != nil {
-		return nil, err
-	}
+	var err error
 	n := len(q.Tables)
 	idx := make(map[string]int, n)
 	for i, t := range q.Tables {
@@ -51,15 +46,9 @@ func (c *Catalog) PlanDP(q Query) (*Plan, error) {
 		}
 	}
 	for _, p := range q.Predicates {
-		ta, _ := c.Table(p.Left)
-		tb, _ := c.Table(p.Right)
-		est, err := gh.Estimate(ta.Stats, tb.Stats)
+		s, err := c.selectivity(p)
 		if err != nil {
 			return nil, err
-		}
-		s := est.Selectivity
-		if s <= 0 {
-			s = 1e-12
 		}
 		i, j := idx[p.Left], idx[p.Right]
 		sel[i][j] *= s

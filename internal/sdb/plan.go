@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"spatialsel/internal/geom"
-	"spatialsel/internal/histogram"
 )
 
 // Predicate is a spatial intersection join between two tables.
@@ -152,20 +151,35 @@ func (c *Catalog) effectiveCard(q Query, name string) (float64, error) {
 	return n, nil
 }
 
+// selectivity returns the planner's selectivity for one predicate: the
+// memoized GH pair estimate, floored so the cost model stays strictly
+// positive. The query has been validated, so both tables exist.
+func (c *Catalog) selectivity(p Predicate) (float64, error) {
+	ta, _ := c.Table(p.Left)
+	tb, _ := c.Table(p.Right)
+	est, _, err := c.PairEstimate(ta, tb)
+	if err != nil {
+		return 0, err
+	}
+	if est.Selectivity <= 0 {
+		return 1e-12, nil
+	}
+	return est.Selectivity, nil
+}
+
 // Plan chooses a left-deep join order for q by greedy cost minimization:
 // start with the predicate whose estimated join result is smallest, then
 // repeatedly join in the connected table that keeps the intermediate result
-// smallest. Selectivities come from the GH statistics; multiple predicates
-// joining the same table multiply (independence assumption, as in System R).
+// smallest. Selectivities are the catalog's memoized GH pair estimates
+// (PairEstimate), so planning over unchanged tables scans no histogram;
+// multiple predicates joining the same table multiply (independence
+// assumption, as in System R).
 func (c *Catalog) Plan(q Query) (*Plan, error) {
 	if err := c.validate(q); err != nil {
 		return nil, err
 	}
-	gh, err := histogram.NewGH(c.level)
-	if err != nil {
-		return nil, err
-	}
 	// Pairwise selectivities per predicate.
+	var err error
 	sel := make(map[Predicate]float64, len(q.Predicates))
 	card := make(map[string]float64, len(q.Tables))
 	for _, t := range q.Tables {
@@ -174,17 +188,9 @@ func (c *Catalog) Plan(q Query) (*Plan, error) {
 		}
 	}
 	for _, p := range q.Predicates {
-		ta, _ := c.Table(p.Left)
-		tb, _ := c.Table(p.Right)
-		est, err := gh.Estimate(ta.Stats, tb.Stats)
-		if err != nil {
+		if sel[p], err = c.selectivity(p); err != nil {
 			return nil, err
 		}
-		s := est.Selectivity
-		if s <= 0 {
-			s = 1e-12 // keep the cost model strictly positive
-		}
-		sel[p] = s
 	}
 
 	// Greedy start: cheapest first join.

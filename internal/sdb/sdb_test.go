@@ -9,6 +9,7 @@ import (
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
+	"spatialsel/internal/histogram"
 )
 
 // testCatalog builds a catalog with three related tables at a modest level.
@@ -103,6 +104,29 @@ func TestEstimateHelpers(t *testing.T) {
 	}
 	if _, err := c.EstimateRangeCount("missing", geom.UnitSquare); err == nil {
 		t.Fatal("missing table accepted")
+	}
+	// The estimate is memoized per generation: repeating it recalls the
+	// cached value, and dropping and re-creating a table under the same
+	// name (new data, new generation) must miss and see the new data.
+	if again, _ := c.EstimateJoinSize("hot", "warm"); again != size {
+		t.Fatalf("repeat EstimateJoinSize = %g, want %g", again, size)
+	}
+	hot, _ := c.Table("hot")
+	c.Drop("hot")
+	if _, err := c.Create(datagen.Uniform("hot", 3000, 0.01, 304)); err != nil {
+		t.Fatal(err)
+	}
+	newHot, _ := c.Table("hot")
+	if newHot.Gen == hot.Gen {
+		t.Fatalf("re-created table kept generation %d", hot.Gen)
+	}
+	warm, _ := c.Table("warm")
+	fresh, err := histogram.MustGH(6).Estimate(newHot.Stats, warm.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.EstimateJoinSize("warm", "hot"); got != fresh.PairCount {
+		t.Fatalf("EstimateJoinSize after re-create = %g, fresh estimate %g", got, fresh.PairCount)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -136,12 +135,12 @@ type TableInfo struct {
 	AvgHeight  float64 `json:"avg_height"`
 }
 
-func (s *Server) tableInfo(snap *Snapshot, t *sdb.Table) TableInfo {
+func tableInfo(t *sdb.Table) TableInfo {
 	ds := t.Data.ComputeStats()
 	return TableInfo{
 		Name:       t.Name,
 		Items:      t.Len(),
-		Generation: snap.Generation(t.Name),
+		Generation: t.Gen,
 		TreeHeight: t.Index.Height(),
 		StatsLevel: t.Stats.Level(),
 		StatsBytes: t.Stats.SizeBytes(),
@@ -235,7 +234,7 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 			s.logger.Warn("forget mutation front", "table", req.Name, "error", err)
 		}
 	}
-	writeJSON(w, http.StatusCreated, s.tableInfo(s.store.Snapshot(), t))
+	writeJSON(w, http.StatusCreated, tableInfo(t))
 }
 
 func (s *Server) handleListTables(w http.ResponseWriter, _ *http.Request) {
@@ -247,7 +246,7 @@ func (s *Server) handleListTables(w http.ResponseWriter, _ *http.Request) {
 		if err != nil {
 			continue // table dropped between Names and Table on another snapshot — impossible here, defensive
 		}
-		infos = append(infos, s.tableInfo(snap, t))
+		infos = append(infos, tableInfo(t))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"tables": infos})
 }
@@ -259,7 +258,7 @@ func (s *Server) handleGetTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.tableInfo(snap, t))
+	writeJSON(w, http.StatusOK, tableInfo(t))
 }
 
 func (s *Server) handleDropTable(w http.ResponseWriter, r *http.Request) {
@@ -409,10 +408,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// estimatePair computes (or recalls) a pairwise selectivity estimate. The
-// cache key canonicalizes the table order — every supported estimator is
-// symmetric — and embeds the tables' generations, so a replaced table can
-// never serve a stale estimate.
+// estimatePair computes (or recalls) a pairwise selectivity estimate through
+// the store's estimate cache. The gh method is the catalog's memoized pair
+// estimate, the same entry the planner reads; the build-based methods key
+// the same cache by method (and sampling fraction). Keys canonicalize the
+// table order — every supported estimator is symmetric — and embed the
+// tables' generations, so a replaced table can never serve a stale estimate.
 func (s *Server) estimatePair(ctx context.Context, snap *Snapshot, left, right, method string, fraction float64, workers int) (core.Estimate, bool, error) {
 	ta, err := snap.Catalog.Table(left)
 	if err != nil {
@@ -422,6 +423,9 @@ func (s *Server) estimatePair(ctx context.Context, snap *Snapshot, left, right, 
 	if err != nil {
 		return core.Estimate{}, false, err
 	}
+	if method == "gh" {
+		return snap.Catalog.PairEstimate(ta, tb)
+	}
 	if fraction <= 0 || fraction > 1 {
 		fraction = 0.1
 	}
@@ -429,37 +433,23 @@ func (s *Server) estimatePair(ctx context.Context, snap *Snapshot, left, right, 
 	if method == "rs" || method == "rswr" || method == "ss" {
 		methodKey = fmt.Sprintf("%s:%g", method, fraction)
 	}
-	a, b := ta, tb
-	if strings.Compare(a.Name, b.Name) > 0 {
-		a, b = b, a
-	}
-	key := CacheKey{
-		Left: a.Name, Right: b.Name,
-		GenL: snap.Generation(a.Name), GenR: snap.Generation(b.Name),
-		Method: methodKey, Level: s.store.Level(),
-	}
-	if est, ok := s.cache.Get(key); ok {
+	key := sdb.PairKey(ta, tb, methodKey, s.store.Level())
+	if est, ok := s.store.cache.Get(key); ok {
 		return est, true, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return core.Estimate{}, false, err
 	}
-	est, err := computeEstimate(a, b, method, fraction, s.store.Level(), workers)
+	est, err := computeEstimate(ta, tb, method, fraction, s.store.Level(), workers)
 	if err != nil {
 		return core.Estimate{}, false, err
 	}
-	s.cache.Put(key, est)
+	s.store.cache.Put(key, est)
 	return est, false, nil
 }
 
 func computeEstimate(a, b *sdb.Table, method string, fraction float64, level, workers int) (core.Estimate, error) {
 	switch method {
-	case "gh":
-		gh, err := histogram.NewGH(level)
-		if err != nil {
-			return core.Estimate{}, err
-		}
-		return gh.Estimate(a.Stats, b.Stats)
 	case "basicgh":
 		t, err := histogram.NewBasicGH(level)
 		if err != nil {
@@ -580,7 +570,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	base, err1 := snap.Catalog.Table(plan.Base)
 	first, err2 := snap.Catalog.Table(plan.Steps[0].Table)
 	if err1 == nil && err2 == nil {
-		resp.ModeledJoinIO = iomodel.JoinAccesses(base.Index.LevelStats(), first.Index.LevelStats())
+		resp.ModeledJoinIO = iomodel.JoinAccesses(base.Packed.LevelStats(), first.Packed.LevelStats())
 	}
 	resp.ElapsedMicros = time.Since(start).Microseconds()
 	writeJSON(w, http.StatusOK, resp)
@@ -689,7 +679,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		base, errB := snap.Catalog.Table(plan.Base)
 		first, errF := snap.Catalog.Table(plan.Steps[0].Table)
 		if errB == nil && errF == nil {
-			costUnits += iomodel.JoinAccesses(base.Index.LevelStats(), first.Index.LevelStats())
+			costUnits += iomodel.JoinAccesses(base.Packed.LevelStats(), first.Packed.LevelStats())
 		}
 		pred := s.admission.PredictCost(costUnits)
 		if dl, ok := ctx.Deadline(); ok && pred > time.Until(dl) {

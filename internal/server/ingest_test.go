@@ -12,6 +12,7 @@ import (
 
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/geom"
+	"spatialsel/internal/histogram"
 	"spatialsel/internal/ingest"
 	"spatialsel/internal/sdb"
 )
@@ -34,7 +35,7 @@ func gridItems(n int) [][4]float64 {
 // batch against a created table, with the estimate cache invalidating across
 // generations.
 func TestMutationEndpoints(t *testing.T) {
-	_, ts := newTestServer(t, Config{Level: 5})
+	srv, ts := newTestServer(t, Config{Level: 5})
 
 	var info TableInfo
 	if code := doJSON(t, "POST", ts.URL+"/v1/tables", CreateTableRequest{Name: "a", Items: gridItems(6)}, &info); code != http.StatusCreated {
@@ -72,6 +73,26 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 	if est2.PairCount <= est1.PairCount {
 		t.Fatalf("estimate did not grow after insert: %g -> %g", est1.PairCount, est2.PairCount)
+	}
+
+	// The planner reads the same memo: after the batch its estimate must be
+	// the one a fresh GH scan of the new statistics gives, not the entry the
+	// pre-insert estimate left behind.
+	var exp ExplainResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/explain", QuerySpec{
+		Tables: []string{"a", "b"}, Predicates: [][2]string{{"a", "b"}},
+	}, &exp); code != http.StatusOK {
+		t.Fatalf("explain after insert: %d", code)
+	}
+	snap := srv.store.Snapshot()
+	ta, _ := snap.Catalog.Table("a")
+	tb, _ := snap.Catalog.Table("b")
+	fresh, err := histogram.MustGH(5).Estimate(ta.Stats, tb.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(ta.Len()) * float64(tb.Len()) * fresh.Selectivity; exp.EstRows != want {
+		t.Fatalf("plan est_rows after insert = %v, fresh GH estimate gives %v", exp.EstRows, want)
 	}
 
 	// Delete through the dedicated endpoint, then a mixed batch.
@@ -301,13 +322,32 @@ func TestStoreHammer(t *testing.T) {
 					return
 				}
 				prev = g
-				if _, err := snap.Catalog.EstimateJoinSize("x", "y"); err != nil {
+				est, err := snap.Catalog.EstimateJoinSize("x", "y")
+				if err != nil {
 					t.Errorf("reader %d: %v", slot, err)
+					return
+				}
+				if _, err := snap.Catalog.Plan(sdb.Query{
+					Tables: []string{"y", "x"}, Predicates: []sdb.Predicate{{Left: "y", Right: "x"}},
+				}); err != nil {
+					t.Errorf("reader %d: plan: %v", slot, err)
 					return
 				}
 				tx, err := snap.Catalog.Table("x")
 				if err != nil {
 					t.Errorf("reader %d: %v", slot, err)
+					return
+				}
+				// The memoized estimate (shared with every snapshot and with
+				// the planner's lookups above) must be this snapshot's own.
+				ty, err := snap.Catalog.Table("y")
+				if err != nil {
+					t.Errorf("reader %d: %v", slot, err)
+					return
+				}
+				fresh, err := histogram.MustGH(level).Estimate(tx.Stats, ty.Stats)
+				if err != nil || fresh.PairCount != est {
+					t.Errorf("reader %d: memoized estimate %v, fresh %v (%v)", slot, est, fresh.PairCount, err)
 					return
 				}
 				if tx.Index.Len() != tx.Stats.ItemCount() {

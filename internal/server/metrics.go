@@ -7,6 +7,7 @@ import (
 	"spatialsel/internal/ingest"
 	"spatialsel/internal/obs"
 	"spatialsel/internal/resilience"
+	"spatialsel/internal/sdb"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the request-duration
@@ -64,7 +65,7 @@ func (m *Metrics) RecordEstimateError(relErr float64) { m.estErr.Observe(relErr)
 
 // registerSampled installs render-time-sampled series for the cache and
 // table store. Called once from New; the closures pin the live objects.
-func (m *Metrics) registerSampled(cache *EstimateCache, store *Store) {
+func (m *Metrics) registerSampled(cache *sdb.EstimateCache, store *Store) {
 	m.reg.CounterFunc("sdbd_estimate_cache_hits_total", "Estimator cache hits.",
 		func() float64 { h, _ := cache.Counters(); return float64(h) })
 	m.reg.CounterFunc("sdbd_estimate_cache_misses_total", "Estimator cache misses.",

@@ -21,7 +21,8 @@ type Config struct {
 	// Level is the GH statistics level for every table (default
 	// sdb.StatisticsLevel, the paper's recommended level 7).
 	Level int
-	// CacheSize bounds the estimator LRU cache (default 256 entries).
+	// CacheSize bounds the estimate LRU cache (default 256 entries) that
+	// the planner and /v1/estimate share.
 	CacheSize int
 	// RequestTimeout cancels a request's context after this long; the
 	// cancellation propagates into the join executor. 0 keeps the package
@@ -93,7 +94,6 @@ type Config struct {
 type Server struct {
 	store          *Store
 	ingest         *ingest.Manager
-	cache          *EstimateCache
 	metrics        *Metrics
 	admission      *resilience.Controller // nil when disabled
 	telemetry      *telemetry.Telemetry   // nil when disabled
@@ -128,7 +128,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = discardLogger()
 	}
-	store, err := NewStore(cfg.Level)
+	store, err := newStore(cfg.Level, cfg.CacheSize)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +148,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		store:          store,
 		ingest:         manager,
-		cache:          NewEstimateCache(cfg.CacheSize),
 		metrics:        NewMetrics(),
 		logger:         cfg.Logger,
 		requestTimeout: cfg.RequestTimeout,
@@ -157,7 +156,7 @@ func New(cfg Config) (*Server, error) {
 		mux:            http.NewServeMux(),
 		started:        time.Now(),
 	}
-	s.metrics.registerSampled(s.cache, s.store)
+	s.metrics.registerSampled(store.cache, store)
 	s.metrics.registerIngest(manager)
 	if cfg.Admission {
 		target := cfg.AdmissionTarget

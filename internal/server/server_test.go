@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"spatialsel/internal/iomodel"
 )
 
 // newTestServer spins up an httptest server around a fresh Server. Level 7
@@ -112,7 +114,7 @@ func metricValue(t *testing.T, metrics, name string) float64 {
 // the level-7 GH estimate lands within a loose band of the executed result
 // and the cache hit shows up on /metrics.
 func TestEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 
 	createTable(t, ts.URL, "roads", "polyline", 3000, 7, false)
 	createTable(t, ts.URL, "streams", "polyline", 800, 8, false)
@@ -163,6 +165,14 @@ func TestEndToEnd(t *testing.T) {
 	if !strings.Contains(exp.Plan, "scan") || exp.ModeledJoinIO <= 0 {
 		t.Fatalf("explain: %+v", exp)
 	}
+	// The modeled I/O reads pack-time level statistics; it must equal the
+	// model over a fresh walk of both pointer trees exactly.
+	snap := srv.store.Snapshot()
+	base, _ := snap.Catalog.Table(exp.Base)
+	first, _ := snap.Catalog.Table(exp.Steps[0].Table)
+	if want := iomodel.JoinAccesses(base.Index.LevelStats(), first.Index.LevelStats()); exp.ModeledJoinIO != want {
+		t.Fatalf("explain modeled_join_io = %v, tree walk gives %v", exp.ModeledJoinIO, want)
+	}
 
 	// Query: execute and page.
 	var qr QueryResponse
@@ -203,6 +213,26 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if tables := metricValue(t, metrics, "sdbd_tables"); tables != 2 {
 		t.Fatalf("tables gauge = %v, want 2", tables)
+	}
+
+	// Repeating the query over unchanged generations plans from the
+	// memoized pair estimate: no GH histogram is scanned again.
+	ghEstimates := func() float64 {
+		return metricValue(t, fetchMetrics(t, ts.URL), `histogram_estimates_total{technique="gh"}`)
+	}
+	before := ghEstimates()
+	for i := 0; i < 3; i++ {
+		var again QueryResponse
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", QueryRequest{
+			Tables:     []string{"roads", "streams"},
+			Predicates: [][2]string{{"roads", "streams"}},
+			Limit:      10,
+		}, &again); code != 200 || again.TotalRows != qr.TotalRows || again.EstRows != qr.EstRows {
+			t.Fatalf("repeat query %d: status %d, %+v", i, code, again)
+		}
+	}
+	if after := ghEstimates(); after != before {
+		t.Fatalf("repeat queries ran %v GH estimates, want 0", after-before)
 	}
 }
 

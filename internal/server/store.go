@@ -23,43 +23,54 @@ var mPackedPublishes = obs.Default.Counter("sdbd_packed_publishes_total",
 	"Snapshot publications that packed the table's index for the read path.")
 
 // Snapshot is an immutable view of the store at one point in time: a catalog
-// whose table set never changes, plus the generation number of each table.
-// Handlers grab a snapshot once, then run estimate/plan/execute on it without
-// holding any lock — registrations happening meanwhile produce new snapshots
-// and never mutate this one.
+// whose table set never changes. Handlers grab a snapshot once, then run
+// estimate/plan/execute on it without holding any lock — registrations
+// happening meanwhile produce new snapshots and never mutate this one.
 type Snapshot struct {
 	Catalog *sdb.Catalog
-	gens    map[string]uint64
 }
 
 // Generation returns the table's registration generation (0 if absent).
 // Generations increase monotonically across the whole store, so a replaced
 // table always carries a new generation — cache keys embedding generations
 // go stale automatically.
-func (s *Snapshot) Generation(name string) uint64 { return s.gens[name] }
+func (s *Snapshot) Generation(name string) uint64 {
+	t, err := s.Catalog.Table(name)
+	if err != nil {
+		return 0
+	}
+	return t.Gen
+}
 
 // Store wraps the sdb catalog with copy-on-write registration. Reads take a
 // brief RLock to fetch the current snapshot pointer; writes build the new
 // table outside any lock, then swap in a fresh catalog containing the old
 // tables plus the change. In-flight requests keep the snapshot they started
-// with.
+// with. Every snapshot's catalog shares the store's estimate cache, so
+// planner and endpoint estimates survive publications of unrelated tables,
+// and the cache numbers the store's table generations.
 type Store struct {
-	mu      sync.RWMutex
-	snap    *Snapshot
-	level   int
-	nextGen uint64
+	mu    sync.RWMutex
+	snap  *Snapshot
+	level int
+	cache *sdb.EstimateCache
 }
 
-// NewStore returns an empty store building statistics at the given GH level.
+// NewStore returns an empty store building statistics at the given GH level,
+// with an estimate cache of sdb.DefaultCacheSize entries.
 func NewStore(level int) (*Store, error) {
-	c, err := sdb.NewCatalogAtLevel(level)
+	return newStore(level, sdb.DefaultCacheSize)
+}
+
+// newStore is NewStore with an estimate cache of cacheSize entries (minimum
+// 1); the server sizes it from Config.CacheSize.
+func newStore(level, cacheSize int) (*Store, error) {
+	cache := sdb.NewEstimateCache(cacheSize)
+	c, err := sdb.NewCatalogWithCache(level, cache)
 	if err != nil {
 		return nil, err
 	}
-	return &Store{
-		snap:  &Snapshot{Catalog: c, gens: map[string]uint64{}},
-		level: level,
-	}, nil
+	return &Store{snap: &Snapshot{Catalog: c}, level: level, cache: cache}, nil
 }
 
 // Level returns the GH statistics level used for every table.
@@ -79,7 +90,7 @@ func (s *Store) Snapshot() *Snapshot {
 func (s *Store) Register(d *dataset.Dataset, replace bool) (*sdb.Table, uint64, error) {
 	// Heavy work (normalize, bulk-load, histogram build) runs lock-free on a
 	// scratch catalog at the store's level.
-	scratch, err := sdb.NewCatalogAtLevel(s.level)
+	scratch, err := sdb.NewCatalogWithCache(s.level, s.cache)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -91,21 +102,13 @@ func (s *Store) Register(d *dataset.Dataset, replace bool) (*sdb.Table, uint64, 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.snap
-	if _, exists := old.gens[t.Name]; exists && !replace {
+	if _, err := old.Catalog.Table(t.Name); err == nil && !replace {
 		return nil, 0, fmt.Errorf("server: table %q already exists (set replace to swap it)", t.Name)
 	}
-	next, err := s.rebuildLocked(old, t.Name)
-	if err != nil {
+	if err := s.installLocked(t); err != nil {
 		return nil, 0, err
 	}
-	if err := next.Catalog.Attach(t); err != nil {
-		return nil, 0, err
-	}
-	s.nextGen++
-	gen := s.nextGen
-	next.gens[t.Name] = gen
-	s.snap = next
-	return t, gen, nil
+	return t, t.Gen, nil
 }
 
 // Publish installs a pre-built table, replacing any table of the same name,
@@ -120,24 +123,34 @@ func (s *Store) Publish(t *sdb.Table) (uint64, error) {
 	// *sdb.Table that the generation bump below publishes, a packed image
 	// from generation G can never appear under generation G+1's key — the
 	// two travel together or not at all (pinned by TestStorePublishRepackRace).
+	if t.Gen != 0 {
+		return 0, fmt.Errorf("server: table %q (generation %d) is already published", t.Name, t.Gen)
+	}
 	if t.Packed == nil && t.Index != nil {
 		t.Packed = rtree.Pack(t.Index)
 		mPackedPublishes.Inc()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.installLocked(t); err != nil {
+		return 0, err
+	}
+	return t.Gen, nil
+}
+
+// installLocked swaps in a snapshot with t in place of any same-named table.
+// Attach stamps t with the next store-wide generation; because every install
+// runs under s.mu, generations increase in publication order.
+func (s *Store) installLocked(t *sdb.Table) error {
 	next, err := s.rebuildLocked(s.snap, t.Name)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if err := next.Catalog.Attach(t); err != nil {
-		return 0, err
+		return err
 	}
-	s.nextGen++
-	gen := s.nextGen
-	next.gens[t.Name] = gen
 	s.snap = next
-	return gen, nil
+	return nil
 }
 
 // Drop removes a table, reporting whether it existed.
@@ -145,7 +158,7 @@ func (s *Store) Drop(name string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.snap
-	if _, exists := old.gens[name]; !exists {
+	if _, err := old.Catalog.Table(name); err != nil {
 		return false, nil
 	}
 	next, err := s.rebuildLocked(old, name)
@@ -160,11 +173,10 @@ func (s *Store) Drop(name string) (bool, error) {
 // Tables are attached by pointer — they are immutable once built, so sharing
 // them between snapshots is safe.
 func (s *Store) rebuildLocked(old *Snapshot, omit string) (*Snapshot, error) {
-	c, err := sdb.NewCatalogAtLevel(s.level)
+	c, err := sdb.NewCatalogWithCache(s.level, s.cache)
 	if err != nil {
 		return nil, err
 	}
-	next := &Snapshot{Catalog: c, gens: make(map[string]uint64, len(old.gens)+1)}
 	for _, name := range old.Catalog.Names() {
 		if name == omit {
 			continue
@@ -176,7 +188,6 @@ func (s *Store) rebuildLocked(old *Snapshot, omit string) (*Snapshot, error) {
 		if err := c.Attach(t); err != nil {
 			return nil, err
 		}
-		next.gens[name] = old.gens[name]
 	}
-	return next, nil
+	return &Snapshot{Catalog: c}, nil
 }

@@ -56,6 +56,11 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 	if stale, err := after.Catalog.Table("a"); err != nil || stale != oldTable {
 		t.Fatal("old snapshot lost its table")
 	}
+	// A published table's generation is fixed: publishing it again is
+	// refused rather than renumbering a table readers already hold.
+	if _, err := s.Publish(newTable); err == nil {
+		t.Fatal("re-publishing an attached table should fail")
+	}
 
 	// Duplicate without replace is rejected.
 	if _, _, err := s.Register(datagen.Uniform("a", 100, 0.01, 4), false); err == nil {
