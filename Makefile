@@ -47,19 +47,24 @@ bench-smoke:
 	bash perfbench/run.sh --workload serve-small --seed 1 --seconds 3 --trace 0
 	bash perfbench/run.sh --workload ingest-live --seed 1 --seconds 3 --trace 0
 
+# perfbench is its own module, outside ./..., so it is vetted separately: an
+# internal API change that breaks it fails here, not only at bench-smoke.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) run ./cmd/sdbvet -stale-ignores ./...
 
 # Full lint gate: stock go vet, the project's own analyzer suite (sdbvet:
 # ctxpoll, atomicfield, maporder, metriclabel, floateq syntactically, plus
 # the flow-sensitive lockorder, unlockpath, fsyncorder, publishmut on
-# internal/lint/cfg), and a gofmt check that fails on any unformatted file.
+# internal/lint/cfg), go vet of the perfbench module, and a gofmt check that
+# fails on any unformatted file.
 # -stale-ignores makes a //lint:ignore that no longer suppresses anything a
 # finding too, so dead suppressions cannot accumulate. Deliberate violations
 # are annotated in source with //lint:ignore <analyzer> <reason>.
 lint: build
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) run ./cmd/sdbvet -stale-ignores ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then echo "gofmt: unformatted files:"; echo "$$fmtout"; exit 1; fi
 

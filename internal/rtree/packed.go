@@ -230,9 +230,10 @@ func (p *Packed) VisitItems(fn func(id int, r geom.Rect)) {
 	}
 }
 
-// Search appends the IDs of all items intersecting q to out — the packed
-// counterpart of Tree.Search, used by tests and spot checks; the join
-// kernels have their own traversals.
+// Search appends the IDs of all items intersecting q (closed rectangles, so
+// touching counts) to out — the packed counterpart of Tree.Search, and the
+// probe the sdb executor's extension steps issue. The join kernels have
+// their own traversals.
 func (p *Packed) Search(q geom.Rect, out []int) []int {
 	if len(p.leaf) == 0 {
 		return out

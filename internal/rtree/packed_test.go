@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -139,18 +140,58 @@ func TestPackEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// TestPackedSearchMatchesTree checks the executor's probe against the
+// pointer tree on STR, insert-built (2,6) and after-deletes trees. Besides
+// random windows, the queries include zero-area points at item corners and
+// windows that only touch an item along an edge, which pin closed-rectangle
+// semantics: a shared boundary is an intersection.
 func TestPackedSearchMatchesTree(t *testing.T) {
 	rects := randRects(1500, 9)
-	tr, p := packOf(t, rects)
-	queries := randRects(64, 10)
-	for _, q := range queries {
-		want := tr.Search(q, nil)
-		got := p.Search(q, nil)
-		sort.Ints(want)
-		sort.Ints(got)
-		if !sortedEqual(got, want) {
-			t.Fatalf("query %v: packed %d hits, tree %d", q, len(got), len(want))
+	str, err := BulkLoadSTR(ItemsFromRects(rects), WithFanout(2, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted := MustNew(WithFanout(2, 6))
+	deleted := MustNew(WithFanout(2, 6))
+	for i, r := range rects {
+		inserted.Insert(r, i)
+		deleted.Insert(r, i)
+	}
+	for i, r := range rects {
+		if i%3 == 0 && !deleted.Delete(r, i) {
+			t.Fatalf("delete %d failed", i)
 		}
+	}
+
+	queries := randRects(64, 10)
+	for _, r := range rects[:40] {
+		queries = append(queries,
+			geom.NewRect(r.MinX, r.MinY, r.MinX, r.MinY),      // point on a corner
+			geom.NewRect(r.MaxX, r.MinY, r.MaxX+0.01, r.MaxY), // touches the right edge
+			geom.NewRect(r.MinX, r.MaxY, r.MaxX, r.MaxY+0.01), // touches the top edge
+		)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   *Tree
+	}{{"str", str}, {"insert-built", inserted}, {"after-deletes", deleted}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Pack(tc.tr)
+			for qi, q := range queries {
+				want := tc.tr.Search(q, nil)
+				got := p.Search(q, nil)
+				sort.Ints(want)
+				sort.Ints(got)
+				if !sortedEqual(got, want) {
+					t.Fatalf("query %d %v: packed %d hits, tree %d", qi, q, len(got), len(want))
+				}
+				// Query 64+3i+k touches item i; after-deletes drops every third.
+				if id := (qi - 64) / 3; qi >= 64 && (tc.name != "after-deletes" || id%3 != 0) &&
+					!slices.Contains(got, id) {
+					t.Fatalf("query %d %v touches item %d but misses it", qi, q, id)
+				}
+			}
+		})
 	}
 }
 

@@ -184,13 +184,16 @@ func TestJoinFuncParallelContextAccounting(t *testing.T) {
 }
 
 // TestJoinFuncParallelContextSharedTreeHammer runs parallel and serial packed
-// joins and pointer-tree range searches concurrently over the same two
-// tables' index and image; with -race this is the read-sharing safety proof
-// for the executor's usage (packed first join, pointer-tree extension probes).
+// joins and packed range searches concurrently over the same two images;
+// with -race this is the read-sharing safety proof for the executor's usage
+// (packed first join, packed extension probes). Every search's hit count
+// must match the pointer tree's.
 func TestJoinFuncParallelContextSharedTreeHammer(t *testing.T) {
 	ta, pa := packOf(t, randRects(2500, 309))
 	tb, pb := packOf(t, randRects(2500, 310))
 	want := JoinCount(ta, tb)
+	qa, qb := geom.NewRect(0.2, 0.2, 0.4, 0.4), geom.NewRect(0.6, 0.1, 0.9, 0.5)
+	wantA, wantB := len(ta.Search(qa, nil)), len(tb.Search(qb, nil))
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -219,11 +222,17 @@ func TestJoinFuncParallelContextSharedTreeHammer(t *testing.T) {
 						return
 					}
 				}
-			default: // range searches on the pointer trees sharing the tables
+			default: // range searches on the shared images: the executor's probes
 				var buf []int
 				for i := 0; i < 200; i++ {
-					buf = ta.Search(geom.NewRect(0.2, 0.2, 0.4, 0.4), buf[:0])
-					buf = tb.Search(geom.NewRect(0.6, 0.1, 0.9, 0.5), buf[:0])
+					if buf = pa.Search(qa, buf[:0]); len(buf) != wantA {
+						errs[g] = errors.New("packed search on a mismatches tree under concurrency")
+						return
+					}
+					if buf = pb.Search(qb, buf[:0]); len(buf) != wantB {
+						errs[g] = errors.New("packed search on b mismatches tree under concurrency")
+						return
+					}
 				}
 			}
 		}(g)

@@ -4,12 +4,13 @@
 // on these analysis techniques").
 //
 // It provides a catalog of spatial tables, each carrying its dataset, an
-// R-tree index, and a Geometric Histogram as optimizer statistics; a
-// cost-based planner that orders multi-way spatial intersection joins using
-// GH selectivity estimates and the analytic I/O model; and an executor that
-// runs the chosen plan with R-tree joins and index probes. Estimates decide
-// the order, exact algorithms produce the answer — the division of labor of
-// a real query optimizer.
+// R-tree index with its packed read image, and a Geometric Histogram as
+// optimizer statistics; a cost-based planner that orders multi-way spatial
+// intersection joins using GH selectivity estimates and the analytic I/O
+// model; and an executor that runs the chosen plan on the packed images
+// alone, a synchronized join followed by index probes. Estimates decide the
+// order, exact algorithms produce the answer — the division of labor of a
+// real query optimizer.
 package sdb
 
 import (
@@ -47,12 +48,13 @@ type Table struct {
 	Data  *dataset.Dataset
 	Index *rtree.Tree
 	Stats *histogram.GHSummary
-	// Packed is the read-optimized SoA image of Index, which the executor's
-	// join kernel reads. It is never nil on an attached table: Attach
-	// rejects a table without one. Packed must mirror Index exactly —
-	// producers build it from the same immutable tree they attach
-	// (BuildTable packs every table it builds; server.Store.Publish packs
-	// ingest snapshots off-lock before attaching them).
+	// Packed is the read-optimized SoA image of Index, and the only index
+	// the executor reads, for its join and its probes alike. It is never
+	// nil on an attached table: Attach rejects a table without one. Packed
+	// must mirror Index exactly — producers build it from the same
+	// immutable tree they attach (BuildTable packs every table it builds;
+	// server.Store.Publish packs ingest snapshots off-lock before attaching
+	// them). Index stays the write side: ingest's Guttman tree, sdbsh's kNN.
 	Packed *rtree.Packed
 	// RawExtent is the dataset's extent before normalization to the unit
 	// square. The live-ingest path uses it to map incoming rectangles (given
@@ -67,8 +69,28 @@ type Table struct {
 	Gen uint64
 }
 
-// Len returns the table's cardinality.
-func (t *Table) Len() int { return t.Data.Len() }
+// Len returns the table's cardinality: the items its packed image holds.
+// An ingest snapshot's Data keeps the slots of deleted items, so Data.Len()
+// can overcount.
+func (t *Table) Len() int { return t.Packed.Len() }
+
+// Live returns the table's live items, in id order, as a dataset. It is Data
+// itself unless Data carries deleted slots; then it is a fresh dataset of the
+// items the packed image holds.
+func (t *Table) Live() *dataset.Dataset {
+	if t.Packed.Len() == t.Data.Len() {
+		return t.Data
+	}
+	live := make([]bool, t.Data.Len())
+	t.Packed.VisitItems(func(id int, _ geom.Rect) { live[id] = true })
+	items := make([]geom.Rect, 0, t.Packed.Len())
+	for id, r := range t.Data.Items {
+		if live[id] {
+			items = append(items, r)
+		}
+	}
+	return dataset.New(t.Name, t.Data.Extent, items)
+}
 
 // Catalog is a named collection of tables. It is safe for concurrent reads;
 // table creation and removal take an exclusive lock.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,20 +51,32 @@ func annotateOperator(sp *obs.Span, estRows float64, rows int) {
 }
 
 // Result is a materialized join result: one column of item indices per
-// table, in Columns order; Rows[i][j] indexes into the Columns[j] table's
-// Data.Items.
+// table, in Columns order. Rows sit back to back in IDs, len(Columns) ids
+// per row; Row(i)[j] indexes into the Columns[j] table's Data.Items.
 type Result struct {
 	Columns []string
-	Rows    [][]int
+	IDs     []int
 }
 
 // Len returns the number of result rows.
-func (r *Result) Len() int { return len(r.Rows) }
+func (r *Result) Len() int {
+	if len(r.Columns) == 0 {
+		return 0
+	}
+	return len(r.IDs) / len(r.Columns)
+}
+
+// Row returns row i as a view into IDs.
+func (r *Result) Row(i int) []int {
+	w := len(r.Columns)
+	return r.IDs[i*w : (i+1)*w : (i+1)*w]
+}
 
 // Execute runs the plan and materializes the result. The first join runs as
 // a synchronized join of the two tables' packed R-tree images; every
-// subsequent table is joined in by probing its R-tree with the rectangle of
-// each row's connecting item, verifying any additional predicates directly.
+// subsequent table is joined in by probing its packed image with the
+// rectangle of each row's connecting item, verifying any additional
+// predicates directly. The packed image is the only index the executor reads.
 func (p *Plan) Execute() (*Result, error) {
 	return p.ExecuteContext(context.Background())
 }
@@ -96,13 +109,69 @@ func resolveWorkers(workers, size, crossover int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// column is one result column resolved for execution: its table, its window
+// filter, and, for an extension step, the earlier columns its predicates
+// test against — drive supplies the probe rectangle, every candidate must
+// also intersect the items of the verify columns.
+type column struct {
+	tab    *Table
+	window *geom.Rect
+	drive  int
+	verify []int
+}
+
+// keeps reports whether item id passes the column's window filter.
+func (c *column) keeps(id int) bool {
+	return c.window == nil || c.tab.Data.Items[id].Intersects(*c.window)
+}
+
+// columns resolves the plan's column layout — base table first, then each
+// step's table — against the catalog once, so nothing inside the join or the
+// probe loops looks up a table, a window or a predicate.
+func (p *Plan) columns() ([]string, []column, error) {
+	names := []string{p.Base}
+	for _, s := range p.Steps {
+		names = append(names, s.Table)
+	}
+	cols := make([]column, len(names))
+	for j, name := range names {
+		tab, err := p.catalog.Table(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		cols[j].tab = tab
+		if w, ok := p.query.Windows[name]; ok {
+			cols[j].window = &w
+		}
+	}
+	// The first join pairs columns 0 and 1 itself; every later column probes.
+	for j := 2; j < len(cols); j++ {
+		for i, pred := range p.Steps[j-1].Against {
+			other := pred.Left
+			if other == names[j] {
+				other = pred.Right
+			}
+			oc := slices.Index(names[:j], other)
+			if oc < 0 {
+				return nil, nil, fmt.Errorf("sdb: internal: predicate %s references unjoined table", pred)
+			}
+			if i == 0 {
+				cols[j].drive = oc
+			} else {
+				cols[j].verify = append(cols[j].verify, oc)
+			}
+		}
+	}
+	return names, cols, nil
+}
+
 // ExecuteContext is Execute with cancellation: the context is threaded into
 // the R-tree join (polled per node-visit batch) and polled per row batch
 // during the index-probe steps, so a cancelled or timed-out context aborts a
-// large join promptly with the context's error.
+// large join promptly with the context's error. Tables, windows and
+// predicate columns are resolved before any traversal, so a plan over a
+// dropped table fails up front.
 func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
-	c := p.catalog
-	q := p.query
 	mExecQueries.Inc()
 
 	// When the caller installed a trace (EXPLAIN ANALYZE), every operator
@@ -110,261 +179,131 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	ctx, execSp := obs.StartSpan(ctx, "execute")
 	defer execSp.End()
 
-	// Per-table windows applied as row filters.
-	passes := func(table string, id int) (bool, error) {
-		w, ok := q.Windows[table]
-		if !ok {
-			return true, nil
-		}
-		t, err := c.Table(table)
-		if err != nil {
-			return false, err
-		}
-		return t.Data.Items[id].Intersects(w), nil
-	}
-
-	// Column layout: base table first, then each step's table.
-	cols := []string{p.Base}
-	colOf := map[string]int{p.Base: 0}
-	for _, s := range p.Steps {
-		colOf[s.Table] = len(cols)
-		cols = append(cols, s.Table)
+	names, cols, err := p.columns()
+	if err != nil {
+		return nil, err
 	}
 
 	// First join via synchronized traversal of the packed images.
 	first := p.Steps[0]
-	baseTab, err := c.Table(p.Base)
-	if err != nil {
-		return nil, err
-	}
-	stepTab, err := c.Table(first.Table)
-	if err != nil {
-		return nil, err
-	}
-	var rows [][]int
-	var ferr error
+	a, b := &cols[0], &cols[1]
+	var ids []int
 	jctx, joinSp := obs.StartSpan(ctx, "join "+p.Base+" ⋈ "+first.Table)
-	// A filter error inside the emit callback must not let the traversal run
-	// to completion: cancelling the join context aborts it at the next poll,
-	// and ferr (checked before jerr) carries the real cause out.
-	jctx, jcancel := context.WithCancel(jctx)
-	defer jcancel()
-	joinWorkers := resolveWorkers(p.Workers, baseTab.Len()+stepTab.Len(), parallelJoinMinItems)
-	// Every attached table carries its packed image, so the first join always
-	// runs on the packed SoA kernel.
-	jerr := rtree.PackedJoinFuncParallelContext(jctx, baseTab.Packed, stepTab.Packed, joinWorkers, func(a, b int) {
-		if ferr != nil {
-			return
-		}
-		okA, err := passes(p.Base, a)
-		if err != nil {
-			ferr = err
-			jcancel()
-			return
-		}
-		okB, err := passes(first.Table, b)
-		if err != nil {
-			ferr = err
-			jcancel()
-			return
-		}
-		if okA && okB {
-			row := make([]int, len(cols))
-			for i := range row {
-				row[i] = -1
-			}
-			row[0], row[1] = a, b
-			rows = append(rows, row)
+	joinWorkers := resolveWorkers(p.Workers, a.tab.Len()+b.tab.Len(), parallelJoinMinItems)
+	err = rtree.PackedJoinFuncParallelContext(jctx, a.tab.Packed, b.tab.Packed, joinWorkers, func(x, y int) {
+		if a.keeps(x) && b.keeps(y) {
+			ids = append(ids, x, y)
 		}
 	})
-	annotateOperator(joinSp, first.EstRows, len(rows))
+	annotateOperator(joinSp, first.EstRows, len(ids)/2)
 	joinSp.End()
-	mExecRows.Add(uint64(len(rows)))
-	if ferr != nil {
-		return nil, ferr
-	}
-	if jerr != nil {
-		return nil, jerr
+	mExecRows.Add(uint64(len(ids) / 2))
+	if err != nil {
+		return nil, err
 	}
 
-	// Extension steps: index probes per row, sharded across a worker pool
-	// when the intermediate result is large enough.
-	var probe []int
-	for _, s := range p.Steps[1:] {
-		tab, err := c.Table(s.Table)
+	// Extension steps: each widens every row by one column through index
+	// probes, sharded across a worker pool when the intermediate result is
+	// large enough.
+	for j := 2; j < len(cols); j++ {
+		s := p.Steps[j-1]
+		_, stepSp := obs.StartSpan(ctx, "probe "+s.Table)
+		probes := len(ids) / j
+		w := resolveWorkers(p.Workers, probes, parallelProbeMinRows)
+		if ids, err = extend(ctx, ids, cols[:j+1], w); err != nil {
+			return nil, err
+		}
+		rows := len(ids) / (j + 1)
+		annotateOperator(stepSp, s.EstRows, rows)
+		stepSp.Set("probe_rows", float64(probes))
+		stepSp.End()
+		mExecRows.Add(uint64(rows))
+		mExecProbeRows.Add(uint64(probes))
+	}
+	return &Result{Columns: names, IDs: ids}, nil
+}
+
+// extend joins the last of cols into every row of ids, whose rows hold one
+// id for each of the other columns, and returns the widened rows. Each row
+// probes the new column's packed image with its drive item; a candidate
+// survives the column's window and verify predicates. Rows are split into
+// contiguous chunks: one worker extends a single chunk inline, w > 1 workers
+// claim ~4 chunks each through an atomic cursor. Chunks extend into private
+// buffers that are concatenated in chunk order, so the output row order is
+// deterministic — identical across runs, though pool sizes may order rows
+// differently. The context is polled every cancelRowBatch rows of a chunk;
+// the first error by chunk order wins and stops the pool.
+func extend(ctx context.Context, ids []int, cols []column, w int) ([]int, error) {
+	width := len(cols) - 1
+	c := &cols[width]
+	drive := cols[c.drive].tab.Data.Items
+	n := len(ids) / width
+	chunk := n
+	if w > 1 {
+		chunk = (n + w*4 - 1) / (w * 4)
+	}
+	chunk = max(chunk, cancelRowBatch)
+	nChunks := (n + chunk - 1) / chunk
+	out := make([][]int, nChunks)
+	errs := make([]error, nChunks)
+	var cursor atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		var buf []int // each worker owns its search buffer
+		for !failed.Load() {
+			ci := int(cursor.Add(1) - 1)
+			if ci >= nChunks {
+				return
+			}
+			var dst []int
+			for r := ci * chunk; r < min((ci+1)*chunk, n); r++ {
+				if (r-ci*chunk)%cancelRowBatch == 0 {
+					if errs[ci] = ctx.Err(); errs[ci] != nil {
+						failed.Store(true)
+						return
+					}
+				}
+				row := ids[r*width : (r+1)*width]
+				buf = c.tab.Packed.Search(drive[row[c.drive]], buf[:0])
+			cand:
+				for _, id := range buf {
+					if !c.keeps(id) {
+						continue
+					}
+					item := c.tab.Data.Items[id]
+					for _, v := range c.verify {
+						if !item.Intersects(cols[v].tab.Data.Items[row[v]]) {
+							continue cand
+						}
+					}
+					dst = append(append(dst, row...), id)
+				}
+			}
+			out[ci] = dst
+		}
+	}
+	if w <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for i := 0; i < w; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		_, stepSp := obs.StartSpan(ctx, "probe "+s.Table)
-		col := colOf[s.Table]
-
-		// extendRow probes the step's index with one row's connecting item
-		// (the first predicate) and appends every verified extension to dst.
-		// probeBuf is the caller's reusable search buffer — each goroutine
-		// owns its own, so the shared index is only ever read.
-		extendRow := func(row []int, probeBuf []int, dst [][]int) ([]int, [][]int, error) {
-			drive, rest, err := splitPredicates(s, colOf, row, c, q)
-			if err != nil {
-				return probeBuf, dst, err
-			}
-			probeBuf = tab.Index.Search(drive, probeBuf[:0])
-			for _, cand := range probeBuf {
-				ok, err := passes(s.Table, cand)
-				if err != nil {
-					return probeBuf, dst, err
-				}
-				if !ok {
-					continue
-				}
-				if !verify(rest, tab.Data.Items[cand]) {
-					continue
-				}
-				out := make([]int, len(row))
-				copy(out, row)
-				out[col] = cand
-				dst = append(dst, out)
-			}
-			return probeBuf, dst, nil
-		}
-
-		var next [][]int
-		probes := 0
-		if w := resolveWorkers(p.Workers, len(rows), parallelProbeMinRows); w > 1 {
-			next, probes, err = probeRowsParallel(ctx, rows, w, extendRow)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			for ri, row := range rows {
-				if ri%cancelRowBatch == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				probes++
-				if probe, next, err = extendRow(row, probe, next); err != nil {
-					return nil, err
-				}
-			}
-		}
-		rows = next
-		annotateOperator(stepSp, s.EstRows, len(rows))
-		stepSp.Set("probe_rows", float64(probes))
-		stepSp.End()
-		mExecRows.Add(uint64(len(rows)))
-		mExecProbeRows.Add(uint64(probes))
 	}
-	return &Result{Columns: cols, Rows: rows}, nil
-}
-
-// probeRowsParallel runs extendRow over every row using w workers. Rows are
-// split into contiguous chunks claimed through an atomic cursor; each worker
-// extends its chunk into a private buffer, and the chunk buffers are
-// concatenated in chunk order, so the output row order is deterministic —
-// identical across runs and worker counts, though not identical to the serial
-// order of a different pool size. The context is polled per row batch inside
-// every chunk; the first error (by chunk order) wins and aborts the pool.
-func probeRowsParallel(ctx context.Context, rows [][]int, w int,
-	extendRow func(row []int, probeBuf []int, dst [][]int) ([]int, [][]int, error)) ([][]int, int, error) {
-	type chunkResult struct {
-		rows   [][]int
-		probes int
-		err    error
+	if nChunks == 1 {
+		return out[0], nil
 	}
-	chunk := (len(rows) + w*4 - 1) / (w * 4) // ~4 chunks per worker for balance
-	if chunk < cancelRowBatch {
-		chunk = cancelRowBatch
-	}
-	nChunks := (len(rows) + chunk - 1) / chunk
-	res := make([]chunkResult, nChunks)
-	var cursor int64
-	var failed int32 // any chunk erred: stop claiming new chunks
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var probeBuf []int
-			for {
-				if atomic.LoadInt32(&failed) != 0 {
-					return
-				}
-				ci := atomic.AddInt64(&cursor, 1) - 1
-				if ci >= int64(nChunks) {
-					return
-				}
-				lo := int(ci) * chunk
-				hi := lo + chunk
-				if hi > len(rows) {
-					hi = len(rows)
-				}
-				cr := chunkResult{}
-				for ri := lo; ri < hi; ri++ {
-					if (ri-lo)%cancelRowBatch == 0 {
-						if cr.err = ctx.Err(); cr.err != nil {
-							break
-						}
-					}
-					cr.probes++
-					if probeBuf, cr.rows, cr.err = extendRow(rows[ri], probeBuf, cr.rows); cr.err != nil {
-						break
-					}
-				}
-				res[ci] = cr
-				if cr.err != nil {
-					atomic.StoreInt32(&failed, 1)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	var out [][]int
-	probes := 0
-	for _, cr := range res {
-		if cr.err != nil {
-			return nil, 0, cr.err
-		}
-		probes += cr.probes
-		out = append(out, cr.rows...)
-	}
-	return out, probes, nil
-}
-
-// splitPredicates resolves a step's predicates against a row: the first
-// becomes the index probe rectangle, the others become verification
-// rectangles that the candidate item must intersect.
-func splitPredicates(s Step, colOf map[string]int, row []int, c *Catalog, q Query) (drive geom.Rect, rest []geom.Rect, err error) {
-	for i, pred := range s.Against {
-		other := pred.Left
-		if other == s.Table {
-			other = pred.Right
-		}
-		tab, err := c.Table(other)
-		if err != nil {
-			return geom.Rect{}, nil, err
-		}
-		id := row[colOf[other]]
-		if id < 0 {
-			return geom.Rect{}, nil, fmt.Errorf("sdb: internal: predicate %s references unjoined table", pred)
-		}
-		r := tab.Data.Items[id]
-		if i == 0 {
-			drive = r
-		} else {
-			rest = append(rest, r)
-		}
-	}
-	return drive, rest, nil
-}
-
-func verify(rects []geom.Rect, candidate geom.Rect) bool {
-	for _, r := range rects {
-		if !candidate.Intersects(r) {
-			return false
-		}
-	}
-	return true
+	return slices.Concat(out...), nil
 }
 
 // Count plans and executes in one call, returning only the result

@@ -3,6 +3,7 @@ package sdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,8 +17,8 @@ import (
 // a given pool size but orders rows differently than the serial traversal).
 func rowKeys(res *Result) []string {
 	keys := make([]string, 0, res.Len())
-	for _, row := range res.Rows {
-		keys = append(keys, fmt.Sprint(row))
+	for i := 0; i < res.Len(); i++ {
+		keys = append(keys, fmt.Sprint(res.Row(i)))
 	}
 	sort.Strings(keys)
 	return keys
@@ -73,11 +74,9 @@ func TestExecuteContextParallelDeterministic(t *testing.T) {
 		if again.Len() != first.Len() {
 			t.Fatalf("run %d: %d rows, want %d", run, again.Len(), first.Len())
 		}
-		for i := range first.Rows {
-			for j := range first.Rows[i] {
-				if first.Rows[i][j] != again.Rows[i][j] {
-					t.Fatalf("run %d: row %d differs: %v vs %v", run, i, again.Rows[i], first.Rows[i])
-				}
+		for i := 0; i < first.Len(); i++ {
+			if !slices.Equal(first.Row(i), again.Row(i)) {
+				t.Fatalf("run %d: row %d differs: %v vs %v", run, i, again.Row(i), first.Row(i))
 			}
 		}
 	}
@@ -97,9 +96,9 @@ func TestExecuteContextParallelCancelled(t *testing.T) {
 
 // TestExecuteContextFilterErrorAbortsJoin is the regression test for the
 // executor letting the full R-tree traversal run to completion after a filter
-// error: the first error inside the join's emit callback must cancel the join
-// context so the traversal stops within a poll interval, not after visiting
-// every node.
+// error. The executor resolves every table, window and predicate column
+// before the first traversal, so a plan over a dropped table fails up front
+// and the join visits no node at all.
 func TestExecuteContextFilterErrorAbortsJoin(t *testing.T) {
 	c, err := NewCatalogAtLevel(5)
 	if err != nil {
@@ -115,8 +114,8 @@ func TestExecuteContextFilterErrorAbortsJoin(t *testing.T) {
 	q := Query{
 		Tables:     []string{"a", "b"},
 		Predicates: []Predicate{{Left: "a", Right: "b"}},
-		// A window covering everything forces the per-pair filter (and its
-		// catalog lookup) to run for every emitted pair.
+		// A window covering everything makes the join filter every emitted
+		// pair by table "a"'s items.
 		Windows: map[string]geom.Rect{"a": geom.UnitSquare},
 	}
 	plan, err := c.Plan(q)
@@ -138,8 +137,8 @@ func TestExecuteContextFilterErrorAbortsJoin(t *testing.T) {
 		t.Fatal("full execution counted no node accesses")
 	}
 
-	// Dropping table "a" makes the first passes("a", id) lookup fail inside
-	// the emit callback, on (roughly) the first emitted pair.
+	// Dropping table "a" makes the up-front column resolution fail before
+	// either image is touched.
 	if !c.Drop("a") {
 		t.Fatal("drop failed")
 	}

@@ -242,8 +242,9 @@ func normalizeRows(res *Result, order []string) [][]int {
 			}
 		}
 	}
-	out := make([][]int, len(res.Rows))
-	for i, row := range res.Rows {
+	out := make([][]int, res.Len())
+	for i := range out {
+		row := res.Row(i)
 		n := make([]int, len(order))
 		for j, k := range idx {
 			n[j] = row[k]

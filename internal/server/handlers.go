@@ -136,12 +136,12 @@ type TableInfo struct {
 }
 
 func tableInfo(t *sdb.Table) TableInfo {
-	ds := t.Data.ComputeStats()
+	ds := t.Live().ComputeStats()
 	return TableInfo{
 		Name:       t.Name,
 		Items:      t.Len(),
 		Generation: t.Gen,
-		TreeHeight: t.Index.Height(),
+		TreeHeight: t.Packed.Height(),
 		StatsLevel: t.Stats.Level(),
 		StatsBytes: t.Stats.SizeBytes(),
 		Coverage:   ds.Coverage,
@@ -448,31 +448,28 @@ func (s *Server) estimatePair(ctx context.Context, snap *Snapshot, left, right, 
 	return est, false, nil
 }
 
+// computeEstimate runs a build-based estimator over the two tables' live
+// items (an ingest snapshot's Data also holds deleted slots).
 func computeEstimate(a, b *sdb.Table, method string, fraction float64, level, workers int) (core.Estimate, error) {
+	var t core.Technique
+	var err error
 	switch method {
 	case "basicgh":
-		t, err := histogram.NewBasicGH(level)
-		if err != nil {
-			return core.Estimate{}, err
-		}
-		return buildAndEstimate(t, a, b, workers)
+		t, err = histogram.NewBasicGH(level)
 	case "ph":
-		t, err := histogram.NewPH(level)
-		if err != nil {
-			return core.Estimate{}, err
-		}
-		return buildAndEstimate(t, a, b, workers)
+		t, err = histogram.NewPH(level)
 	case "rs", "rswr", "ss":
 		m := map[string]sample.Method{"rs": sample.RS, "rswr": sample.RSWR, "ss": sample.SS}[method]
 		// Fixed seed keeps sampling estimates deterministic and therefore
 		// cacheable: the same request always sees the same answer.
-		t, err := sample.New(m, fraction, sample.WithSeed(1))
-		if err != nil {
-			return core.Estimate{}, err
-		}
-		return buildAndEstimate(t, a, b, workers)
+		t, err = sample.New(m, fraction, sample.WithSeed(1))
+	default:
+		return core.Estimate{}, fmt.Errorf("unknown estimation method %q (want gh, basicgh, ph, rs, rswr, ss)", method)
 	}
-	return core.Estimate{}, fmt.Errorf("unknown estimation method %q (want gh, basicgh, ph, rs, rswr, ss)", method)
+	if err != nil {
+		return core.Estimate{}, err
+	}
+	return buildAndEstimate(t, a.Live(), b.Live(), workers)
 }
 
 // buildAndEstimate builds both inputs' summaries — concurrently when the
@@ -480,7 +477,7 @@ func computeEstimate(a, b *sdb.Table, method string, fraction float64, level, wo
 // technique's Build is a pure function of its inputs (sampling draws from a
 // per-call PRNG seeded deterministically), so the parallel build returns
 // exactly the serial result.
-func buildAndEstimate(t core.Technique, a, b *sdb.Table, workers int) (core.Estimate, error) {
+func buildAndEstimate(t core.Technique, a, b *dataset.Dataset, workers int) (core.Estimate, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -491,13 +488,13 @@ func buildAndEstimate(t core.Technique, a, b *sdb.Table, workers int) (core.Esti
 	return t.Estimate(sa, sb)
 }
 
-func buildSummaries(t core.Technique, a, b *sdb.Table, concurrent bool) (core.Summary, core.Summary, error) {
+func buildSummaries(t core.Technique, a, b *dataset.Dataset, concurrent bool) (core.Summary, core.Summary, error) {
 	if !concurrent {
-		sa, err := t.Build(a.Data)
+		sa, err := t.Build(a)
 		if err != nil {
 			return nil, nil, err
 		}
-		sb, err := t.Build(b.Data)
+		sb, err := t.Build(b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -511,9 +508,9 @@ func buildSummaries(t core.Technique, a, b *sdb.Table, concurrent bool) (core.Su
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sa, ea = t.Build(a.Data)
+		sa, ea = t.Build(a)
 	}()
-	sb, eb = t.Build(b.Data)
+	sb, eb = t.Build(b)
 	wg.Wait()
 	if ea != nil {
 		return nil, nil, ea
@@ -751,9 +748,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		end = total
 	}
 	ri.SetRows(total)
+	var page [][]int // null, not [], for an empty result, as the wire format has it
+	if total > 0 {
+		page = make([][]int, 0, end-offset)
+	}
+	for i := offset; i < end; i++ {
+		page = append(page, res.Row(i))
+	}
 	resp := QueryResponse{
 		Columns:       res.Columns,
-		Rows:          res.Rows[offset:end],
+		Rows:          page,
 		TotalRows:     total,
 		Offset:        offset,
 		Truncated:     end < total,

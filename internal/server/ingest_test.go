@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"spatialsel/internal/datagen"
+	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
 	"spatialsel/internal/ingest"
@@ -116,6 +117,57 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 	if got.Generation != mut.Generation {
 		t.Fatalf("table generation %d, last mutation %d", got.Generation, mut.Generation)
+	}
+
+	// Deleted slots stay in the snapshot's Data (ids 0, 36 and 37 of 39), but
+	// nothing the server reports may count them: the table size, the plan's
+	// cardinality and the build-based estimators all see the 36 live items.
+	const liveA = 36
+	if got.Items != liveA {
+		t.Fatalf("table reports %d items, %d are live", got.Items, liveA)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/v1/explain", QuerySpec{
+		Tables: []string{"a", "b"}, Predicates: [][2]string{{"a", "b"}},
+	}, &exp); code != http.StatusOK {
+		t.Fatalf("explain after deletes: %d", code)
+	}
+	snap = srv.store.Snapshot()
+	ta, _ = snap.Catalog.Table("a")
+	tb, _ = snap.Catalog.Table("b")
+	if fresh, err = histogram.MustGH(5).Estimate(ta.Stats, tb.Stats); err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(ta.Stats.ItemCount()) * float64(tb.Stats.ItemCount()) * fresh.Selectivity; exp.EstRows != want {
+		t.Fatalf("plan est_rows after deletes = %v, fresh GH estimate gives %v", exp.EstRows, want)
+	}
+	var phEst EstimateResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/estimate", EstimateRequest{Left: "a", Right: "b", Method: "ph"}, &phEst); code != http.StatusOK {
+		t.Fatalf("ph estimate: %d", code)
+	}
+	var live []geom.Rect
+	for id, r := range ta.Data.Items {
+		if id != 0 && id != 36 && id != 37 {
+			live = append(live, r)
+		}
+	}
+	ph, err := histogram.NewPH(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, err := ph.Build(dataset.New("a", geom.UnitSquare, live))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := ph.Build(tb.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPH, err := ph.Estimate(sa, sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if phEst.PairCount != wantPH.PairCount {
+		t.Fatalf("ph estimate %v, PH over the live items gives %v", phEst.PairCount, wantPH.PairCount)
 	}
 
 	// Error paths: unknown table 404, invalid payloads 400.

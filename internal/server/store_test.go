@@ -1,12 +1,15 @@
 package server
 
 import (
+	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"spatialsel/internal/datagen"
+	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/ingest"
 	"spatialsel/internal/sdb"
@@ -259,4 +262,142 @@ func TestStoreConcurrentRegisterAndRead(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestProbedMutatedTableMatchesBrute runs three-way joins in which a table
+// mutated through the ingest path is joined in by index probes. Its packed
+// image comes from a Guttman tree after inserts and deletes, and its Data
+// keeps the deleted slots, so the probe must see exactly the live items.
+// Every row set, with and without a window on the probed table and with
+// serial and pooled probes, must equal a brute-force join over live items.
+func TestProbedMutatedTableMatchesBrute(t *testing.T) {
+	const level = 5
+	store, err := NewStore(level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*dataset.Dataset{
+		datagen.Uniform("a", 1500, 0.015, 41),
+		datagen.Uniform("b", 1500, 0.015, 42),
+		datagen.Uniform("c", 2000, 0.04, 43),
+	} {
+		if _, _, err := store.Register(d, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	manager := ingest.NewManager(ingest.Options{
+		Level:   level,
+		Lookup:  func(name string) (*sdb.Table, error) { return store.Snapshot().Catalog.Table(name) },
+		Publish: store.Publish,
+	})
+	tab, err := manager.Table("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The model: every slot's rect (the extent is the unit square, so raw
+	// and normalized coordinates coincide) and which slots are deleted.
+	c0, _ := store.Snapshot().Catalog.Table("c")
+	model := append([]geom.Rect(nil), c0.Data.Items...)
+	dead := map[int]bool{}
+	rng := rand.New(rand.NewSource(44))
+	for batch := 0; batch < 6; batch++ {
+		var m ingest.Mutation
+		for i := 0; i < 60; i++ {
+			x, y := rng.Float64()*0.95, rng.Float64()*0.95
+			m.Inserts = append(m.Inserts, geom.NewRect(x, y, x+0.04, y+0.04))
+		}
+		picked := map[int]bool{}
+		for len(m.Deletes) < 80 {
+			if id := rng.Intn(len(model)); !dead[id] && !picked[id] {
+				picked[id] = true
+				m.Deletes = append(m.Deletes, id)
+			}
+		}
+		res, err := tab.Apply(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range res.IDs {
+			if id != len(model)+i {
+				t.Fatalf("batch %d: insert %d got id %d, want %d", batch, i, id, len(model)+i)
+			}
+		}
+		model = append(model, m.Inserts...)
+		for id := range picked {
+			dead[id] = true
+		}
+	}
+
+	snap := store.Snapshot()
+	ta, _ := snap.Catalog.Table("a")
+	tb, _ := snap.Catalog.Table("b")
+	tc, _ := snap.Catalog.Table("c")
+	if tc.Data.Len() != len(model) || tc.Len() != len(model)-len(dead) {
+		t.Fatalf("probed table: %d slots, %d items; model has %d slots, %d live",
+			tc.Data.Len(), tc.Len(), len(model), len(model)-len(dead))
+	}
+
+	for _, window := range []*geom.Rect{nil, {MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}} {
+		q := sdb.Query{
+			Tables:     []string{"a", "b", "c"},
+			Predicates: []sdb.Predicate{{Left: "a", Right: "b"}, {Left: "b", Right: "c"}},
+		}
+		var want [][3]int
+		for i, ra := range ta.Data.Items {
+			for j, rb := range tb.Data.Items {
+				if !ra.Intersects(rb) {
+					continue
+				}
+				for k, rc := range model {
+					if !dead[k] && rb.Intersects(rc) && (window == nil || rc.Intersects(*window)) {
+						want = append(want, [3]int{i, j, k})
+					}
+				}
+			}
+		}
+		if window != nil {
+			q.Windows = map[string]geom.Rect{"c": *window}
+		}
+		plan, err := snap.Catalog.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Base == "c" || plan.Steps[0].Table == "c" {
+			t.Fatalf("test setup: c is not probed in\n%s", plan.Explain())
+		}
+		if len(want) < 2*256 {
+			t.Fatalf("test setup: %d rows is too few for pooled probes to split", len(want))
+		}
+		for _, workers := range []int{1, 4} {
+			plan.Workers = workers
+			res, err := plan.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([][3]int, res.Len())
+			for i := range got {
+				for j, col := range res.Columns {
+					got[i][col[0]-'a'] = res.Row(i)[j]
+				}
+			}
+			sortTriples(got)
+			sortTriples(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("window %v, workers %d: %d rows, brute force over live items gives %d",
+					window, workers, len(got), len(want))
+			}
+		}
+	}
+}
+
+func sortTriples(rows [][3]int) {
+	slices.SortFunc(rows, func(x, y [3]int) int {
+		for i := range x {
+			if x[i] != y[i] {
+				return x[i] - y[i]
+			}
+		}
+		return 0
+	})
 }
