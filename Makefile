@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci check build test race race-all chaos bench-smoke vet lint cover bench microbench experiments examples clean
+.PHONY: all ci check build test race race-all chaos fuzz bench-smoke vet lint cover bench microbench experiments examples clean
 
 all: check
 
@@ -11,9 +11,9 @@ check: build lint test race
 
 # CI entry point: everything a merge must pass in one target — the default
 # verification path (build, lint, tests, scoped -race), the short
-# fault-injection chaos suite, and the end-to-end benchmark's correctness
-# checks.
-ci: check chaos bench-smoke
+# fault-injection chaos suite, bounded runs of the native fuzzers, and the
+# end-to-end benchmark's correctness checks.
+ci: check chaos fuzz bench-smoke
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ race-all:
 # and degraded-mode contracts.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Degraded|Admission|WAL' ./internal/ingest/... ./internal/faultfs/... ./internal/resilience/... ./internal/server/...
+
+# Bounded runs of the native fuzzers over the two on-disk decoders (GH/PH
+# histogram files and .sds dataset files): each must reject malformed input
+# with an error, never a panic. A crasher is saved under the package's
+# testdata/fuzz/ and replays in every later `make test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSummary$$' -fuzztime=10s ./internal/histogram
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime=10s ./internal/dataset
 
 # Short runs of the end-to-end benchmark (perfbench/run.sh) on its two gated
 # workloads, for their differential checks rather than their timings: every

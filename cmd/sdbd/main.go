@@ -57,7 +57,6 @@ func parseFlags(args []string) (*options, error) {
 	load := fs.String("load", "", "directory of .sds dataset files to preload as tables")
 	walDir := fs.String("wal-dir", "", "directory for per-table write-ahead logs (empty disables durable ingest)")
 	walRetry := fs.Int("wal-retry", 4, "max retries for transient WAL write/fsync failures (-1 disables retry)")
-	degradedReadOnly := fs.Bool("degraded-read-only", true, "on persistent WAL failure, flip the table to read-only degraded mode instead of poisoning it (false = fail-stop)")
 	admission := fs.Bool("admission", true, "enable the estimate-driven admission gate on /v1/query (adaptive concurrency limit + cost gate)")
 	maxInflight := fs.Int("max-inflight", 0, "cap on the adaptive query concurrency limit (0 = 4x GOMAXPROCS)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
@@ -87,7 +86,6 @@ func parseFlags(args []string) (*options, error) {
 			EnableExpvar:    *enableExpvar,
 			WALDir:          *walDir,
 			WALRetry:        resilience.RetryPolicy{Max: retryMax},
-			WALFailStop:     !*degradedReadOnly,
 			Admission:       *admission,
 			MaxInflight:     *maxInflight,
 			AdmissionTarget: *slowQuery,

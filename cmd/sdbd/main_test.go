@@ -77,11 +77,8 @@ func TestResilienceFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Admission and degraded read-only mode default on; fail-stop is the
-	// opt-out spelling of -degraded-read-only=false.
-	if !opts.cfg.Admission || opts.cfg.WALFailStop {
-		t.Fatalf("defaults: admission=%v failstop=%v, want true/false",
-			opts.cfg.Admission, opts.cfg.WALFailStop)
+	if !opts.cfg.Admission {
+		t.Fatal("admission default = false, want true")
 	}
 	if opts.cfg.MaxInflight != 0 {
 		t.Fatalf("max-inflight default = %d, want 0 (auto)", opts.cfg.MaxInflight)
@@ -95,12 +92,12 @@ func TestResilienceFlags(t *testing.T) {
 
 	opts, err = parseFlags([]string{
 		"-admission=false", "-max-inflight", "12",
-		"-wal-retry", "0", "-degraded-read-only=false", "-slow-query", "100ms",
+		"-wal-retry", "0", "-slow-query", "100ms",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.cfg.Admission || opts.cfg.MaxInflight != 12 || !opts.cfg.WALFailStop {
+	if opts.cfg.Admission || opts.cfg.MaxInflight != 12 {
 		t.Fatalf("resilience flags not threaded through: %+v", opts.cfg)
 	}
 	if opts.cfg.WALRetry.Max != -1 {

@@ -160,10 +160,9 @@ func (s *shell) exec(line string, out io.Writer) error {
 	return fmt.Errorf("unknown command %q (try `help`)", fields[0])
 }
 
-const helpText = `commands:
+var helpText = `commands:
   create <name> <kind> <n> <seed>   generate and register a table
-                                    kinds: uniform cluster multicluster diagonal
-                                           polyline tiling points polygons
+                                    kinds: ` + strings.Join(datagen.Kinds, " ") + `
   open <name> <file.sds>            register a dataset file as a table
   tables                            list tables
   drop <name>                       remove a table
@@ -191,25 +190,8 @@ func (s *shell) cmdCreate(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("bad seed %q", args[3])
 	}
-	var d *dataset.Dataset
-	switch kind {
-	case "uniform":
-		d = datagen.Uniform(name, n, 0.005, seed)
-	case "cluster":
-		d = datagen.Cluster(name, n, 0.4, 0.6, 0.1, 0.005, seed)
-	case "multicluster":
-		d = datagen.MultiCluster(name, n, 5, 0.05, 0.005, seed)
-	case "diagonal":
-		d = datagen.Diagonal(name, n, 0.05, 0.005, seed)
-	case "polyline":
-		d = datagen.PolylineTrace(name, n, 50, 0.004, seed)
-	case "tiling":
-		d = datagen.PolygonTiling(name, n, seed)
-	case "points":
-		d = datagen.Points(name, n, 20, 0.04, seed)
-	case "polygons":
-		d = datagen.HeavyTailedPolygons(name, n, 20, 0.05, 0.002, 1.4, seed)
-	default:
+	d, ok := datagen.Generate(kind, name, n, seed)
+	if !ok {
 		return fmt.Errorf("unknown kind %q", kind)
 	}
 	if _, err := s.catalog.Create(d); err != nil {

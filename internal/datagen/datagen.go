@@ -325,3 +325,32 @@ func HeavyTailedPolygons(name string, n, landmarks int, sigma, minSize, alpha fl
 	}
 	return dataset.New(name, geom.UnitSquare, items)
 }
+
+// Kinds lists the generator kinds Generate accepts, in the order help texts
+// show them.
+var Kinds = []string{"uniform", "cluster", "multicluster", "diagonal", "polyline", "tiling", "points", "polygons"}
+
+// Generate builds n items of the named kind with the fixed shape parameters
+// the server's and the shell's table generators share. ok is false for a
+// kind not in Kinds.
+func Generate(kind, name string, n int, seed int64) (d *dataset.Dataset, ok bool) {
+	switch kind {
+	case "uniform":
+		return Uniform(name, n, 0.005, seed), true
+	case "cluster":
+		return Cluster(name, n, 0.4, 0.6, 0.1, 0.005, seed), true
+	case "multicluster":
+		return MultiCluster(name, n, 5, 0.05, 0.005, seed), true
+	case "diagonal":
+		return Diagonal(name, n, 0.05, 0.005, seed), true
+	case "polyline":
+		return PolylineTrace(name, n, 50, 0.004, seed), true
+	case "tiling":
+		return PolygonTiling(name, n, seed), true
+	case "points":
+		return Points(name, n, 20, 0.04, seed), true
+	case "polygons":
+		return HeavyTailedPolygons(name, n, 20, 0.05, 0.002, 1.4, seed), true
+	}
+	return nil, false
+}

@@ -279,3 +279,16 @@ func TestClampRect(t *testing.T) {
 		t.Fatal("clamped rect invalid")
 	}
 }
+
+func TestGenerateKinds(t *testing.T) {
+	for _, kind := range Kinds {
+		d, ok := Generate(kind, kind, 200, 3)
+		if !ok {
+			t.Fatalf("listed kind %q rejected", kind)
+		}
+		validate(t, d, 200)
+	}
+	if _, ok := Generate("nosuchkind", "x", 10, 1); ok {
+		t.Fatal("unknown kind accepted")
+	}
+}

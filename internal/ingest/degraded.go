@@ -30,9 +30,6 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 func (t *Table) Degraded() (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.stickyErr != nil {
-		return true, t.stickyErr
-	}
 	return t.degraded, t.degradedCause
 }
 
@@ -42,24 +39,14 @@ func (t *Table) degradedErrLocked() *DegradedError {
 	return &DegradedError{Table: t.name, RetryAfter: t.breaker.RetryAfter(), Err: t.degradedCause}
 }
 
-// enterDegraded records a persistent WAL commit failure. In the default
-// mode it trips the circuit breaker and flips the table read-only: queries
-// and estimates keep serving the last published snapshot (publication only
-// ever happens after a successful fsync, so nothing half-applied is ever
-// visible), while mutations fail fast with DegradedError until a half-open
-// probe commits a batch end to end. In fail-stop mode (-degraded-read-only
-// =false) the first failure poisons the table permanently — the pre-PR-8
-// behavior, kept for operators who prefer a loud crash-and-page over
-// limping along.
-func (t *Table) enterDegraded(cause error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.failStop {
-		if t.stickyErr == nil {
-			t.stickyErr = fmt.Errorf("ingest: %s: wal failed (fail-stop mode): %w", t.name, cause)
-		}
-		return
-	}
+// enterDegradedLocked records a persistent WAL commit failure, the one
+// reaction to it: it trips the circuit breaker and flips the table
+// read-only. Queries and estimates keep serving the last published snapshot
+// (publication only ever happens after a successful fsync, so nothing
+// half-applied is ever visible), while mutations fail fast with
+// DegradedError until a half-open probe commits a batch end to end. Callers
+// hold t.mu.
+func (t *Table) enterDegradedLocked(cause error) {
 	t.breaker.Failure()
 	t.degradedCause = cause
 	if !t.degraded {

@@ -1,75 +1,75 @@
 package ingest
 
 import (
-	"context"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
-	"time"
 
+	"spatialsel/internal/datagen"
 	"spatialsel/internal/geom"
+	"spatialsel/internal/histogram"
 )
 
-func TestShouldRepackDriftHintOverridesChurnFloor(t *testing.T) {
+func TestShouldRepackQuietTableBelowChurnFloor(t *testing.T) {
 	p := RepackPolicy{}.withDefaults()
 	quiet := Degradation{Churn: 1, ChurnRatio: 0.001, Overlap: 0.01}
 	if p.ShouldRepack(quiet) {
-		t.Fatal("quiet table repacked without a hint")
-	}
-	quiet.DriftHint = true
-	if !p.ShouldRepack(quiet) {
-		t.Fatal("drift hint did not override the churn floor")
+		t.Fatal("quiet table repacked below the churn floor")
 	}
 }
 
-// TestRepackPassConsumesDriftHint walks the full watchdog→repack handshake at
-// the manager level: a hint on an otherwise-quiet table makes the next pass
-// re-pack it, a successful re-pack consumes the hint, and hints on tables
-// whose mutation front was never opened stay pending (there is nothing to
-// re-pack yet).
-func TestRepackPassConsumesDriftHint(t *testing.T) {
-	const level = 4
-	// A policy that would never fire on its own.
-	fx := newManagerFixture(t, "", level, RepackPolicy{
-		Interval: time.Hour,
-		MinChurn: 1 << 30,
-	})
-	fx.lookup["quiet"] = buildTable(t, "quiet", 100, level, 31)
-	tab := mustTable(t, fx.m, "quiet")
-	rng := rand.New(rand.NewSource(32))
-	for i := 0; i < 4; i++ {
-		if _, err := tab.Apply(Mutation{Inserts: []geom.Rect{rawRect(rng)}}); err != nil {
+// TestRepackPublishesUnchangedStats pins the invariant that makes a re-pack a
+// tree-only operation: the GH statistics are maintained exactly under every
+// mutation, so the generation a re-pack publishes carries the very summary
+// the last batch published, and every estimate against it is bit-identical.
+func TestRepackPublishesUnchangedStats(t *testing.T) {
+	const level = 5
+	store := &fakeStore{}
+	base := buildTable(t, "t", 300, level, 41)
+	tab, err := OpenTable(base, level, "", store.publish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	for round := 0; round < 40; round++ {
+		m := Mutation{Inserts: []geom.Rect{rawRect(rng), rawRect(rng)}}
+		if round%4 == 3 {
+			m.Deletes = []int{round}
+		}
+		if _, err := tab.Apply(m); err != nil {
 			t.Fatal(err)
 		}
 	}
+	gh := histogram.MustGH(level)
+	probeRaw, err := gh.Build(datagen.Cluster("probe", 800, 0.4, 0.6, 0.2, 0.02, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := probeRaw.(*histogram.GHSummary)
 
-	before := mRepacks.Value()
-	hintsBefore := mDriftHints.Value()
-	fx.m.RepackPass(context.Background())
-	if mRepacks.Value() != before {
-		t.Fatal("policy fired without a hint — the fixture is not quiet")
+	before := store.snapshot()
+	genBefore := store.gen
+	estBefore, err := gh.Estimate(before.Stats, probe)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	fx.m.HintRepack("quiet")
-	fx.m.HintRepack("quiet") // second hint on a pending table is a no-op
-	fx.m.HintRepack("never-opened")
-	if got := mDriftHints.Value() - hintsBefore; got != 2 {
-		t.Fatalf("drift hint counter +%d, want +2 (one per newly pending table)", got)
+	if ran, err := tab.Repack(); !ran || err != nil {
+		t.Fatalf("Repack = (%v, %v)", ran, err)
 	}
-	if got := fx.m.PendingHints(); len(got) != 2 || got[0] != "never-opened" || got[1] != "quiet" {
-		t.Fatalf("pending hints = %v", got)
+	after := store.snapshot()
+	if store.gen != genBefore+1 || after == before {
+		t.Fatalf("re-pack published generation %d (snapshot changed %v), want %d", store.gen, after != before, genBefore+1)
 	}
-
-	fx.m.RepackPass(context.Background())
-	if mRepacks.Value() != before+1 {
-		t.Fatalf("hinted pass ran %d re-packs, want 1", mRepacks.Value()-before)
+	if !reflect.DeepEqual(after.Stats, before.Stats) {
+		t.Fatal("re-pack changed the published GH statistics")
 	}
-	// The consumed hint is gone; the never-opened table's hint stays armed.
-	if got := fx.m.PendingHints(); len(got) != 1 || got[0] != "never-opened" {
-		t.Fatalf("pending hints after pass = %v", got)
+	estAfter, err := gh.Estimate(after.Stats, probe)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And a second pass does not re-pack again off the consumed hint.
-	fx.m.RepackPass(context.Background())
-	if mRepacks.Value() != before+1 {
-		t.Fatal("consumed hint fired again")
+	if math.Float64bits(estAfter.PairCount) != math.Float64bits(estBefore.PairCount) ||
+		math.Float64bits(estAfter.Selectivity) != math.Float64bits(estBefore.Selectivity) {
+		t.Fatalf("estimate moved across re-pack: %v → %v", estBefore, estAfter)
 	}
 }

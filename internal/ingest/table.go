@@ -48,7 +48,6 @@ type Degradation struct {
 	Overlap    float64 // rtree.OverlapFactor of the write tree
 	Churn      int     // mutations applied since the last pack
 	ChurnRatio float64 // Churn / max(1, Live)
-	DriftHint  bool    // estimator-drift watchdog asked for a re-pack
 	Live       int     // live (non-tombstoned) items
 	Deadwood   int     // tombstoned ID slots
 }
@@ -78,12 +77,11 @@ type Table struct {
 	publish PublishFunc
 
 	// Resilience wiring (set at construction, immutable after).
-	walPath  string
-	fs       faultfs.FS
-	retryer  *resilience.Retryer
-	breaker  *resilience.Breaker
-	failStop bool
-	fsyncFn  func(time.Duration)
+	walPath string
+	fs      faultfs.FS
+	retryer *resilience.Retryer
+	breaker *resilience.Breaker
+	fsyncFn func(time.Duration)
 
 	mu        sync.Mutex // the apply critical section
 	cond      *sync.Cond // signaled when inflight drains or a re-pack ends
@@ -98,26 +96,26 @@ type Table struct {
 	repacking bool // a re-pack is between its two critical sections
 	inflight  int  // committers between apply and acknowledgment
 	delta     []deltaOp
+	snapVer   uint64 // snapshots built so far; orders their publication
 
 	degraded      bool  // read-only mode: WAL failed, breaker gating probes
 	degradedCause error // what tripped it
-	stickyErr     error // fail-stop mode: first failure, permanent
 
 	pubMu  sync.Mutex // serializes snapshot publication
-	pubSeq uint64     // highest sequence published
+	pubVer uint64     // newest snapshot version published
 	pubGen uint64     // generation of that publication
 }
 
 // TableOptions configures a table's durability and failure handling. The
 // zero value means no WAL (in-memory only); zero policies take the
-// resilience package defaults; a nil FS means the real disk.
+// resilience package defaults; a nil FS means the real disk. A persistent
+// WAL failure always flips the table to read-only degraded mode.
 type TableOptions struct {
-	WALPath  string                   // "" disables durability
-	FS       faultfs.FS               // nil → faultfs.Disk()
-	Retry    resilience.RetryPolicy   // WAL write/fsync retry bounds
-	Breaker  resilience.BreakerPolicy // degraded-mode probe cadence
-	FailStop bool                     // poison on first WAL failure instead of degrading
-	Seed     int64                    // retry jitter seed (tests)
+	WALPath string                   // "" disables durability
+	FS      faultfs.FS               // nil → faultfs.Disk()
+	Retry   resilience.RetryPolicy   // WAL write/fsync retry bounds
+	Breaker resilience.BreakerPolicy // degraded-mode probe cadence
+	Seed    int64                    // retry jitter seed (tests)
 }
 
 // arm attaches the resilience plumbing to a freshly built table; callers
@@ -131,7 +129,6 @@ func (t *Table) arm(o TableOptions) {
 	t.fs = o.FS
 	t.retryer = resilience.NewRetryer(o.Retry, o.Seed)
 	t.breaker = resilience.NewBreaker(o.Breaker)
-	t.failStop = o.FailStop
 }
 
 // OpenTable wraps an existing read-only table (as registered in the serving
@@ -259,11 +256,6 @@ func (t *Table) Apply(m Mutation) (ApplyResult, error) {
 	}
 
 	t.mu.Lock()
-	if t.stickyErr != nil {
-		err := t.stickyErr
-		t.mu.Unlock()
-		return ApplyResult{}, err
-	}
 	probing := false
 	if t.degraded {
 		if !t.breaker.Allow() {
@@ -321,29 +313,24 @@ func (t *Table) Apply(m Mutation) (ApplyResult, error) {
 	}
 	t.churn += batch.Records()
 	seq := t.seq
-	snap := t.snapshotLocked()
+	ver, snap := t.snapshotLocked()
 	t.inflight++
 	t.mu.Unlock()
 
 	if t.wal != nil {
 		if err := t.wal.Sync(seq); err != nil {
 			t.commitDone()
-			t.enterDegraded(err)
 			t.mu.Lock()
-			var ret error
-			if t.stickyErr != nil {
-				ret = t.stickyErr
-			} else {
-				ret = t.degradedErrLocked()
-			}
+			t.enterDegradedLocked(err)
+			derr := t.degradedErrLocked()
 			t.mu.Unlock()
-			return ApplyResult{}, ret
+			return ApplyResult{}, derr
 		}
 	}
 	if probing || t.wal != nil {
 		t.commitLanded(probing)
 	}
-	gen, err := t.publishSnap(seq, snap)
+	gen, err := t.publishSnap(ver, snap)
 	t.commitDone()
 	if err != nil {
 		return ApplyResult{}, err
@@ -390,10 +377,9 @@ func (t *Table) commitDone() {
 // store generation. Used after recovery to make the replayed state readable.
 func (t *Table) Snapshot() (uint64, error) {
 	t.mu.Lock()
-	seq := t.seq
-	snap := t.snapshotLocked()
+	ver, snap := t.snapshotLocked()
 	t.mu.Unlock()
-	return t.publishSnap(seq, snap)
+	return t.publishSnap(ver, snap)
 }
 
 // Degradation samples the re-pack trigger signal. The overlap scan walks the
@@ -425,7 +411,7 @@ func (t *Table) Degradation() Degradation {
 // truncate-on-repack step. Returns false when a re-pack was already running.
 func (t *Table) Repack() (bool, error) {
 	t.mu.Lock()
-	if t.repacking || t.degraded || t.stickyErr != nil {
+	if t.repacking || t.degraded {
 		// Degraded tables skip re-packs: the WAL checkpoint rewrite would
 		// need the very disk that just failed, and the probe path owns
 		// recovery.
@@ -465,7 +451,6 @@ func (t *Table) Repack() (bool, error) {
 	t.cond.Broadcast()
 	t.tree = packed
 	t.churn = 0
-	seq := t.seq
 	var werr error
 	if t.wal != nil {
 		// A failed checkpoint rewrite is non-destructive: the old log (its
@@ -474,7 +459,7 @@ func (t *Table) Repack() (bool, error) {
 		// next pass.
 		werr = t.wal.Checkpoint(t.checkpointLocked())
 	}
-	snap := t.snapshotLocked()
+	ver, snap := t.snapshotLocked()
 	t.mu.Unlock()
 
 	mRepacks.Inc()
@@ -482,7 +467,7 @@ func (t *Table) Repack() (bool, error) {
 	if werr != nil {
 		return true, werr
 	}
-	if _, err := t.publishSnap(seq, snap); err != nil {
+	if _, err := t.publishSnap(ver, snap); err != nil {
 		return true, err
 	}
 	return true, nil
@@ -591,11 +576,14 @@ func (t *Table) applyLocked(b Batch) error {
 // backing array is safe), a deep clone of the write tree, and a copied
 // statistics summary. Tombstoned slots stay in the items view — the executor
 // only reads Items[id] for IDs the index returns, and the index holds live
-// IDs only.
-func (t *Table) snapshotLocked() *sdb.Table {
+// IDs only. The returned version numbers snapshots in build order, which is
+// content order: a re-pack's snapshot outranks the batch snapshot it shares
+// a WAL sequence with.
+func (t *Table) snapshotLocked() (uint64, *sdb.Table) {
 	n := len(t.items)
 	view := t.items[:n:n]
-	return &sdb.Table{
+	t.snapVer++
+	return t.snapVer, &sdb.Table{
 		Name:      t.name,
 		Data:      dataset.New(t.name, geom.UnitSquare, view),
 		Index:     t.tree.Clone(),
@@ -617,23 +605,23 @@ func (t *Table) checkpointLocked() Checkpoint {
 	return Checkpoint{Seq: t.seq, RawExtent: t.rawExtent, Items: items, Deleted: del}
 }
 
-// publishSnap installs a snapshot unless a later one is already live. Two
-// committers can finish out of order; whichever published last carries the
-// earlier batch's changes too (snapshots are built inside the apply critical
-// section, so snapshot content order matches sequence order), so the stale
-// publisher just reports the newer generation.
-func (t *Table) publishSnap(seq uint64, tbl *sdb.Table) (uint64, error) {
+// publishSnap installs the snapshot with version ver unless a later one is
+// already live. Two committers can finish out of order; whichever published
+// last carries the earlier batch's changes too (snapshots are built inside
+// the apply critical section, so version order is content order), so the
+// stale publisher just reports the newer generation.
+func (t *Table) publishSnap(ver uint64, tbl *sdb.Table) (uint64, error) {
 	t.pubMu.Lock()
 	defer t.pubMu.Unlock()
-	if seq <= t.pubSeq && t.pubSeq > 0 {
+	if ver <= t.pubVer {
 		return t.pubGen, nil
 	}
-	//lint:ignore lockorder pubMu exists to order publish handoffs by WAL seq; the callee is the store's snapshot installer, which takes only Store.mu and never re-enters the ingest layer
+	//lint:ignore lockorder pubMu exists to order publish handoffs by snapshot version; the callee is the store's snapshot installer, which takes only Store.mu and never re-enters the ingest layer
 	gen, err := t.publish(tbl)
 	if err != nil {
 		return 0, err
 	}
-	t.pubSeq = seq
+	t.pubVer = ver
 	t.pubGen = gen
 	return gen, nil
 }

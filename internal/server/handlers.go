@@ -186,23 +186,8 @@ func generate(name string, g *GeneratorSpec) (*dataset.Dataset, error) {
 	if g.N <= 0 {
 		return nil, fmt.Errorf("generator n must be positive, got %d", g.N)
 	}
-	switch g.Kind {
-	case "uniform":
-		return datagen.Uniform(name, g.N, 0.005, g.Seed), nil
-	case "cluster":
-		return datagen.Cluster(name, g.N, 0.4, 0.6, 0.1, 0.005, g.Seed), nil
-	case "multicluster":
-		return datagen.MultiCluster(name, g.N, 5, 0.05, 0.005, g.Seed), nil
-	case "diagonal":
-		return datagen.Diagonal(name, g.N, 0.05, 0.005, g.Seed), nil
-	case "polyline":
-		return datagen.PolylineTrace(name, g.N, 50, 0.004, g.Seed), nil
-	case "tiling":
-		return datagen.PolygonTiling(name, g.N, g.Seed), nil
-	case "points":
-		return datagen.Points(name, g.N, 20, 0.04, g.Seed), nil
-	case "polygons":
-		return datagen.HeavyTailedPolygons(name, g.N, 20, 0.05, 0.002, 1.4, g.Seed), nil
+	if d, ok := datagen.Generate(g.Kind, name, g.N, g.Seed); ok {
+		return d, nil
 	}
 	return nil, fmt.Errorf("unknown generator kind %q", g.Kind)
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -193,8 +192,8 @@ func TestTelemetryEndpointsGated(t *testing.T) {
 // manual scrape ticks, then checks the three telemetry surfaces together:
 // the time-series store (monotone counters, non-negative rates), the flight
 // recorder (slow and error retained with span trees, the fast bulk sampled),
-// and the drift watchdog (gauge past threshold, re-pack hint delivered to
-// the ingest manager). Run under -race this also exercises every
+// and the drift watchdog (quantile gauges past threshold, one flagged pair).
+// Run under -race this also exercises every
 // scrape-vs-observe interleaving.
 func TestTelemetryEndToEnd(t *testing.T) {
 	s, err := New(telemetryTestConfig())
@@ -427,7 +426,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Error("query event missing est_rows / rel_error annotations")
 	}
 
-	// ---- drift watchdog → re-pack hint ---------------------------------------
+	// ---- drift watchdog gauges ----------------------------------------------
 
 	metrics := fetchMetrics(t, ts.URL)
 	p90 := metricValue(t, metrics, `sdbd_estimate_rel_error_p90{left="roads",right="streams"}`)
@@ -437,12 +436,5 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	metricValue(t, metrics, `sdbd_estimate_rel_error_p50{left="roads",right="streams"}`)
 	if n := metricValue(t, metrics, "sdbd_estimate_drift_pairs"); n != 1 {
 		t.Errorf("drift pair count %g, want 1", n)
-	}
-	hints := s.Ingest().PendingHints()
-	if fmt.Sprint(hints) != "[roads streams]" {
-		t.Errorf("pending re-pack hints = %v, want [roads streams]", hints)
-	}
-	if metricValue(t, metrics, "sdbd_ingest_drift_hints_total") != 2 {
-		t.Error("drift hint counter did not record both tables")
 	}
 }

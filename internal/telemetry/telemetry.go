@@ -12,8 +12,8 @@
 //     tail-sampling retention: errors, panics, and slow requests are always
 //     kept (with their span trees); the fast bulk is kept 1-in-N.
 //   - Watchdog, the estimator-drift monitor: windowed P² quantile sketches
-//     over per-table-pair relative error, exported as gauges and raising a
-//     drift flag that the ingest re-packer consumes as a repack hint.
+//     over per-table-pair relative error, exported as gauges, with an
+//     edge-triggered drift flag reported once per crossing for logging.
 //
 // The pieces share one obs.Registry so the subsystem's own health
 // (scrape counts, retained events, drift flags) shows up in /metrics like
@@ -51,10 +51,9 @@ type Options struct {
 	SampleN int
 	// Drift tunes the estimator-drift watchdog.
 	Drift DriftConfig
-	// OnDrift is invoked from Tick, once per window, for every table pair
-	// whose p90 relative error newly crossed the drift threshold — the hook
-	// the server uses to log the offending pair and hint the ingest
-	// re-packer.
+	// OnDrift is invoked from Tick for every table pair whose p90 relative
+	// error newly crossed the drift threshold — the hook the server uses to
+	// log the offending pair. It fires again only after the flag clears.
 	OnDrift func(Pair, float64)
 }
 

@@ -190,7 +190,9 @@ type pairState struct {
 // Watchdog monitors estimator accuracy per table pair: every executed join
 // feeds its relative error in, every telemetry tick evaluates the windowed
 // p50/p90 sketches against the drift threshold, and newly crossed pairs are
-// reported for logging and re-pack hinting. All methods are safe for
+// reported once for logging. It reports drift and repairs nothing: the GH
+// statistics are maintained exactly, so a high error points at the
+// estimator's assumptions, not at stale state. All methods are safe for
 // concurrent use; Observe is on the query hot path and costs one mutex plus
 // constant-time sketch updates.
 type Watchdog struct {
@@ -281,8 +283,13 @@ func (w *Watchdog) registerPair(p Pair, st *pairState) {
 // Evaluate runs one tick's drift pass: pairs with enough samples get their
 // exported quantiles refreshed and are checked against the threshold; pairs
 // whose p90 newly crossed it are returned (sorted, deterministic) so the
-// caller can log and hint. Every WindowTicks ticks the sketches reset; a
-// flagged pair whose fresh window comes back healthy is unflagged then.
+// caller can log them. Every WindowTicks ticks the sketches reset, and a
+// flagged pair stays flagged only if its closing window reached MinSamples
+// with p90 still at or above the threshold: a healthy, idle or low-traffic
+// window clears the flag (a dropped pair must not hold the flag gauge up
+// forever) and re-arms the edge, so a relapse is reported again. The
+// quantile gauges keep their last evaluated values until a window with
+// enough samples refreshes them.
 func (w *Watchdog) Evaluate() []Drift {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -290,18 +297,19 @@ func (w *Watchdog) Evaluate() []Drift {
 	rotate := w.ticks%w.cfg.WindowTicks == 0
 	var crossed []Drift
 	for p, st := range w.pairs {
-		if st.samples >= w.cfg.MinSamples {
+		judged := st.samples >= w.cfg.MinSamples
+		if judged {
 			st.lastP50 = st.p50.quantile()
 			st.lastP90 = st.p90.quantile()
 			if st.lastP90 >= w.cfg.Threshold && !st.flagged {
 				st.flagged = true
 				crossed = append(crossed, Drift{Pair: p, P50: st.lastP50, P90: st.lastP90})
 			}
-			if rotate && st.lastP90 < w.cfg.Threshold {
-				st.flagged = false
-			}
 		}
 		if rotate {
+			if !judged || st.lastP90 < w.cfg.Threshold {
+				st.flagged = false
+			}
 			st.p50, st.p90 = newP2(0.50), newP2(0.90)
 			st.samples = 0
 		}

@@ -111,7 +111,7 @@ func TestWatchdogWindowRotationRecovers(t *testing.T) {
 	if crossed := w.Evaluate(); len(crossed) != 1 {
 		t.Fatalf("drift not flagged: %v", crossed)
 	}
-	// Healthy window: estimator recovered (e.g. after a re-pack).
+	// Healthy window: estimator recovered.
 	for i := 0; i < 10; i++ {
 		w.Observe(p, 0.01)
 	}
@@ -127,6 +127,51 @@ func TestWatchdogWindowRotationRecovers(t *testing.T) {
 	}
 	if crossed := w.Evaluate(); len(crossed) != 1 {
 		t.Errorf("relapse not re-reported: %v", crossed)
+	}
+}
+
+// TestWatchdogIdlePairUnflags pins stale-flag clearing: a flagged pair whose
+// traffic stops (its table dropped or no longer joined) or falls below
+// MinSamples is unflagged at the first window that closes without judging it,
+// and a relapse re-reports.
+func TestWatchdogIdlePairUnflags(t *testing.T) {
+	reg := obs.NewRegistry()
+	w := NewWatchdog(DriftConfig{Threshold: 0.2, MinSamples: 5, WindowTicks: 2}, reg)
+	p := PairOf("a", "b")
+	for i := 0; i < 10; i++ {
+		w.Observe(p, 0.8)
+	}
+	if crossed := w.Evaluate(); len(crossed) != 1 {
+		t.Fatalf("drift not flagged: %v", crossed)
+	}
+	for tick := 0; tick < 10; tick++ {
+		w.Evaluate()
+	}
+	if flagged := w.Flagged(); len(flagged) != 0 {
+		t.Errorf("idle pair still flagged after 10 empty ticks: %v", flagged)
+	}
+	if n := reg.Snapshot()["sdbd_estimate_drift_pairs"]; n != 0 {
+		t.Errorf("drift pair gauge %g after the pair went idle, want 0", n)
+	}
+	for i := 0; i < 10; i++ {
+		w.Observe(p, 0.9)
+	}
+	if crossed := w.Evaluate(); len(crossed) != 1 {
+		t.Errorf("relapse after idle clear not re-reported: %v", crossed)
+	}
+	// The relapse tick also closed a window; it judged drift, so the flag
+	// survived it.
+	if flagged := w.Flagged(); len(flagged) != 1 {
+		t.Fatalf("drifting pair unflagged by a judged window: %v", flagged)
+	}
+	// A trickle below MinSamples per window cannot judge the pair either:
+	// the flag clears at the window close, as for an idle pair.
+	for tick := 0; tick < 4; tick++ {
+		w.Observe(p, 0.9)
+		w.Evaluate()
+	}
+	if flagged := w.Flagged(); len(flagged) != 0 {
+		t.Errorf("low-traffic pair still flagged: %v", flagged)
 	}
 }
 
